@@ -41,7 +41,7 @@ type Resume struct {
 }
 
 // guard coordinates cancellation and sweep-boundary checkpointing for
-// one engine run. Engines call enter at the top of every sweep and
+// one engine run. The sweep loop calls enter at the top of every sweep and
 // abort when a cancelled worker pool unwound mid-sweep; the guard then
 // rolls the phase back to the state it saved before the sweep started
 // mutating anything, so every checkpoint — periodic or cancellation —
@@ -104,22 +104,12 @@ func (g *guard) done() <-chan struct{} {
 	return g.cfg.Ctx.Done()
 }
 
-// cancelled polls the context without blocking.
-func (g *guard) cancelled() bool {
-	select {
-	case <-g.done():
-		return true
-	default:
-		return false
-	}
-}
-
 // enter runs the top-of-sweep protocol: emit a checkpoint and stop if
 // the context is cancelled; emit a periodic checkpoint if the sweep
 // hits the configured interval; save the rollback state a mid-sweep
 // abort would need. It returns true when the phase must stop.
 func (g *guard) enter(sweep int, prev float64) (stop bool) {
-	if g.cfg.Ctx != nil && g.cancelled() {
+	if isClosed(g.done()) {
 		g.emit(sweep, prev)
 		g.st.Interrupted = true
 		g.st.FinalS = prev

@@ -1,30 +1,33 @@
-// Package mcmc implements the MCMC phase of stochastic block partitioning
-// in its three variants from the paper:
+// Package mcmc implements the MCMC phase of stochastic block partitioning.
+// The paper's engines are one Metropolis-Hastings chain run under
+// different schedules, and one sweep loop runs them all. A sweep is a
+// live serial pass over a vertex list (every accepted move updates the
+// blockmodel, so each proposal sees the exact current state), then
+// zero or more asynchronous passes (all listed vertices proposed in
+// parallel against a frozen blockmodel, accepted moves recorded in a
+// private membership), each followed by a parallel rebuild:
 //
-//   - Serial Metropolis-Hastings (Algorithm 2) — the baseline SBP chain,
-//     inherently sequential: every proposal sees the fully up-to-date
-//     blockmodel.
-//   - Asynchronous Gibbs (Algorithm 3, A-SBP) — all vertices are proposed
-//     in parallel against a blockmodel that is at most one sweep stale;
-//     accepted moves update only the membership vector, and the
-//     blockmodel is rebuilt in parallel after each sweep.
-//   - Hybrid (Algorithm 4, H-SBP) — the top fraction of vertices by
-//     degree is processed serially first (live blockmodel updates), the
-//     rest asynchronously as in A-SBP.
+//   - SBP (Algorithm 2): every vertex serial, no async pass.
+//   - A-SBP (Algorithm 3): one async pass over every vertex, so
+//     proposals are at most one sweep stale.
+//   - H-SBP (Algorithm 4): the top fraction of vertices by degree (V*)
+//     serial, then one async pass over the rest (V⁻).
+//   - B-SBP (the batched A-SBP of the paper's conclusion): Batches async
+//     passes over contiguous vertex groups, so proposals are at most
+//     1/Batches of a sweep stale.
 //
-// All variants use the exact-asynchronous-Gibbs acceptance rule: the
+// All passes use the exact-asynchronous-Gibbs acceptance rule: the
 // Metropolis-Hastings ratio exp(−β·ΔS)·H is computed for every proposal
-// rather than accepting unconditionally.
+// rather than accepting unconditionally. The passes are exported so the
+// distributed rank (internal/dist) runs the same code.
 package mcmc
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/blockmodel"
-	"repro/internal/check"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -305,27 +308,12 @@ func (r *SweepRecord) finish() {
 }
 
 // Run executes the MCMC phase of the selected algorithm on bm in place
-// and returns phase statistics. rn is the master RNG; the asynchronous
-// engines split one independent stream per worker from it.
+// and returns phase statistics. rn is the master RNG; the engines with
+// asynchronous passes split one independent stream per worker from it.
 func Run(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rng.RNG) Stats {
-	workers := 0
-	if alg != SerialMH {
-		workers = parallel.DefaultWorkers(cfg.Workers)
-	}
-	po := newPhaseObs(cfg.Obs, alg, workers, bm.MDL(), bm.NumNonEmptyBlocks())
-	var st Stats
-	switch alg {
-	case SerialMH:
-		st = runSerial(bm, cfg, rn, po)
-	case AsyncGibbs:
-		st = runAsync(bm, cfg, rn, po)
-	case Hybrid:
-		st = runHybrid(bm, cfg, rn, po)
-	case BatchedGibbs:
-		st = runBatched(bm, cfg, rn, po)
-	default:
-		panic(fmt.Sprintf("mcmc: unknown algorithm %d", int(alg)))
-	}
+	sched := newSchedule(bm, alg, cfg)
+	po := newPhaseObs(cfg.Obs, alg, sched.workers, bm.MDL(), bm.NumNonEmptyBlocks())
+	st := sched.run(bm, cfg, rn, po)
 	po.endPhase(&st)
 	return st
 }
@@ -342,74 +330,4 @@ func accept(md *blockmodel.MoveDelta, hastings, beta float64, rn *rng.RNG) bool 
 // still terminates the phase.
 func converged(prev, cur, threshold float64) bool {
 	return math.Abs(prev-cur) <= threshold*math.Abs(cur)
-}
-
-// runSerial is Algorithm 2: one sequential Metropolis-Hastings chain.
-// Every accepted move updates the blockmodel in place, so each proposal
-// sees the exact current state.
-func runSerial(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs) Stats {
-	st := Stats{Algorithm: SerialMH, InitialS: bm.MDL()}
-	n := bm.G.NumVertices()
-	sc := blockmodel.NewScratch()
-	gd := newGuard(&cfg, bm, rn, nil, &st, true, true)
-	startSweep, prev := gd.start()
-	done := gd.done()
-	for sweep := startSweep; sweep < cfg.MaxSweeps; sweep++ {
-		if gd.enter(sweep, prev) {
-			return st
-		}
-		sp := po.sweep(sweep, 0, &st)
-		start := time.Now()
-		for v := 0; v < n; v++ {
-			if done != nil && v&1023 == 0 && gd.cancelled() {
-				gd.abort(sweep)
-				return st
-			}
-			serialStep(bm, v, cfg, rn, sc, &st)
-		}
-		ns := float64(time.Since(start).Nanoseconds())
-		sp.serial(ns)
-		st.Cost.AddSerial(ns)
-		st.Sweeps++
-		if cfg.Verify {
-			check.MustInvariants(bm, "serial post-sweep invariants")
-		}
-		cur := bm.MDL()
-		st.PerSweep = append(st.PerSweep, sp.finish(&st, cur))
-		if converged(prev, cur, cfg.Threshold) {
-			st.Converged = true
-			st.FinalS = cur
-			return st
-		}
-		prev = cur
-	}
-	st.FinalS = bm.MDL()
-	return st
-}
-
-// serialStep proposes, evaluates and possibly applies one move with live
-// blockmodel updates. Shared by the serial engine and the hybrid
-// engine's synchronous pass.
-func serialStep(bm *blockmodel.Blockmodel, v int, cfg Config, rn *rng.RNG, sc *blockmodel.Scratch, st *Stats) {
-	s := bm.ProposeVertexMove(v, bm.Assignment, rn)
-	r := bm.Assignment[v]
-	if s == r {
-		return
-	}
-	st.Proposals++
-	md := bm.EvalMove(v, s, bm.Assignment, sc)
-	if cfg.Verify {
-		check.MustMoveDelta(bm, bm.Assignment, v, s, md.DeltaS)
-	}
-	if md.EmptiesSrc && !cfg.AllowEmptyBlocks {
-		return
-	}
-	h := bm.HastingsCorrection(&md)
-	if cfg.Verify {
-		check.MustHastings(bm, bm.Assignment, v, s, h)
-	}
-	if accept(&md, h, cfg.Beta, rn) {
-		bm.ApplyMove(md)
-		st.Accepts++
-	}
 }

@@ -45,7 +45,7 @@ func testConfig() Config {
 }
 
 func TestEnginesReduceMDL(t *testing.T) {
-	for _, alg := range []Algorithm{SerialMH, AsyncGibbs, Hybrid} {
+	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			bm, _ := structured(t, 42)
 			st := Run(bm, alg, testConfig(), rng.New(1))
@@ -60,7 +60,7 @@ func TestEnginesReduceMDL(t *testing.T) {
 }
 
 func TestEnginesRecoverPlantedPartition(t *testing.T) {
-	for _, alg := range []Algorithm{SerialMH, AsyncGibbs, Hybrid} {
+	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			bm, truth := structured(t, 7)
 			Run(bm, alg, testConfig(), rng.New(2))
@@ -123,21 +123,6 @@ func TestHybridChargesBothKinds(t *testing.T) {
 	st := Run(bm, Hybrid, testConfig(), rng.New(5))
 	if st.Cost.SerialWork <= 0 || st.Cost.ParallelWork <= 0 {
 		t.Fatalf("H-SBP accounts: serial=%v parallel=%v", st.Cost.SerialWork, st.Cost.ParallelWork)
-	}
-}
-
-func TestDeterministicGivenSeed(t *testing.T) {
-	for _, alg := range []Algorithm{SerialMH, AsyncGibbs, Hybrid} {
-		a, _ := structured(t, 21)
-		b, _ := structured(t, 21)
-		cfg := testConfig()
-		Run(a, alg, cfg, rng.New(99))
-		Run(b, alg, cfg, rng.New(99))
-		for v := range a.Assignment {
-			if a.Assignment[v] != b.Assignment[v] {
-				t.Fatalf("%s not deterministic at vertex %d", alg, v)
-			}
-		}
 	}
 }
 
