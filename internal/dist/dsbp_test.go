@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockmodel"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mcmc"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -354,5 +355,55 @@ func TestOnSweepObservesWithoutPerturbing(t *testing.T) {
 	}
 	if lastSweep != st.Sweeps-2 {
 		t.Errorf("last observed sweep %d, want %d", lastSweep, st.Sweeps-2)
+	}
+}
+
+// TestHybridRankListsMatchInProcessVStar is the regression test for the
+// D-H-SBP V*-rounding bug: ranks sized V* as floor(f·V) while H-SBP
+// takes ceil(f·V), so at V=10 and f=0.15 rank 0's serial pass visited
+// one vertex instead of the two H-SBP picks.
+func TestHybridRankListsMatchInProcessVStar(t *testing.T) {
+	g := graph.MustNew(10, []graph.Edge{
+		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 0, Dst: 4},
+		{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 6},
+		{Src: 6, Dst: 7}, {Src: 7, Dst: 8}, {Src: 8, Dst: 9},
+	})
+	bm := blockmodel.Identity(g, 1)
+	vStar, _ := mcmc.SplitByDegree(bm, 0.15)
+	inStar := map[int32]bool{}
+	for _, v := range vStar {
+		inStar[v] = true
+	}
+	// Vertices 0 (degree 4) and 2 (degree 3) are the two highest.
+	if len(inStar) != 2 || !inStar[0] || !inStar[2] {
+		t.Fatalf("in-process V* = %v, want {0, 2}", vStar)
+	}
+
+	visits := make([]int, g.NumVertices())
+	for r, owned := range PartitionRanges(g, 2, PartitionDegree) {
+		serial, async := rankLists(bm, ModeHybrid, 0.15, r, owned)
+		if r == 0 && len(serial) != 2 {
+			t.Fatalf("rank 0 serial pass visits %d vertices, want 2", len(serial))
+		}
+		if r != 0 && len(serial) != 0 {
+			t.Fatalf("rank %d has serial list %v", r, serial)
+		}
+		for _, v := range serial {
+			if !inStar[v] {
+				t.Fatalf("rank 0 serial vertex %d not in in-process V* %v", v, vStar)
+			}
+			visits[v]++
+		}
+		for i, v := range async {
+			if inStar[v] || int(v) < owned.Lo || int(v) >= owned.Hi || (i > 0 && v <= async[i-1]) {
+				t.Fatalf("rank %d async list %v is not its range %v minus V*, ascending", r, async, owned)
+			}
+			visits[v]++
+		}
+	}
+	for v, n := range visits {
+		if n != 1 {
+			t.Fatalf("vertex %d visited %d times per sweep, want 1", v, n)
+		}
 	}
 }
