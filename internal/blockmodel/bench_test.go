@@ -1,6 +1,7 @@
 package blockmodel
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -76,16 +77,57 @@ func BenchmarkProposeVertexMove(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuild times RebuildFrom's two paths on the same rebuilds,
+// each iteration alternating between two memberships that differ in the
+// given share of vertices: incremental is the moved-vertex update,
+// recount the 2-worker full recount. Dense mode is the planted C=32
+// partition; sparse mode a uniform random one at C=V/2, the shape of an
+// early search iteration. recountShare cites where the paths cross.
 func BenchmarkRebuild(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			bm, _ := benchModel(b, 5000, 32)
-			membership := append([]int32(nil), bm.Assignment...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bm.RebuildFrom(membership, workers)
+	const v, workers = 5000, 2
+	for _, mode := range []struct {
+		name string
+		c    int
+	}{{"dense", 32}, {"sparse", v / 2}} {
+		for _, pct := range []int{1, 10, 50} {
+			for _, path := range []string{"incremental", "recount"} {
+				b.Run(fmt.Sprintf("%s/moved=%d%%/%s", mode.name, pct, path), func(b *testing.B) {
+					planted, r := benchModel(b, v, 32)
+					a := planted.Assignment
+					if mode.c != 32 {
+						a = make([]int32, v)
+						for i := range a {
+							a[i] = int32(r.Intn(mode.c))
+						}
+					}
+					moved := append([]int32(nil), a...)
+					for _, i := range r.Perm(v)[:v*pct/100] {
+						moved[i] = int32((int(a[i]) + 1 + r.Intn(mode.c-1)) % mode.c)
+					}
+					bm, err := FromAssignment(planted.G, a, mode.c, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					memberships := [2][]int32{a, moved}
+					step := func(i int) {
+						next := memberships[(i+1)%2]
+						if path == "incremental" {
+							bm.moveVertices(next)
+						} else {
+							copy(bm.Assignment, next)
+							bm.rebuildCounts(workers)
+						}
+					}
+					step(0) // grow the sparse rows to both memberships' needs
+					step(1)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						step(i)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 

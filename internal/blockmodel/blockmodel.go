@@ -172,12 +172,74 @@ func (bm *Blockmodel) rebuildCounts(workers int) {
 	}
 }
 
-// RebuildFrom replaces the assignment with membership and recomputes all
-// counts in parallel. This is the "rebuild B from community_membership"
-// step at the end of each asynchronous Gibbs sweep (Algorithms 3 and 4).
-func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) {
+// recountShare is the share of the 2E edge endpoints, counted at the
+// vertices whose block changed, above which RebuildFrom recounts every
+// count in parallel instead of re-bucketing the moved vertices' edges.
+// BenchmarkRebuild times both paths with 1%, 10% and 50% of vertices
+// moved. On a 2-vCPU linux-amd64 host (5,000 vertices, a 2-worker
+// recount) they cross near 18% moved in dense mode (C=32, where a
+// recount takes about 0.2 ms) and near 50% in sparse mode (C=V/2, about
+// 11 ms). One constant serves both, so it sits nearer the sparse
+// crossing, where the wrong path costs fifty times more.
+const recountShare = 0.4
+
+// RebuildFrom replaces the assignment with membership and brings every
+// count up to date: the "rebuild B from community_membership" step at
+// the end of each asynchronous Gibbs sweep (Algorithms 3 and 4). When
+// the vertices whose block changed hold at most recountShare of the
+// edge endpoints, only their edges are re-bucketed, on the calling
+// goroutine and without allocating once the sparse rows have grown;
+// otherwise every count is recounted over workers. M holds integer
+// counts and sparse rows stay sorted, so both paths leave the identical
+// state. It reports whether it recounted.
+func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) (recounted bool) {
+	var moved int64
+	for v, b := range membership {
+		if b != bm.Assignment[v] {
+			moved += int64(bm.G.Degree(v))
+		}
+	}
+	if float64(moved) > recountShare*float64(2*bm.G.NumEdges()) {
+		copy(bm.Assignment, membership)
+		bm.rebuildCounts(workers)
+		return true
+	}
+	bm.moveVertices(membership)
+	return false
+}
+
+// moveVertices is RebuildFrom's incremental path. Each moved vertex
+// takes its size and degrees from its old block to its new one, and
+// each edge is re-bucketed once: from its tail's side when the tail
+// moved (self-loops included), else from its head's side.
+func (bm *Blockmodel) moveVertices(membership []int32) {
+	old := bm.Assignment
+	for v, s := range membership {
+		r := old[v]
+		if r == s {
+			continue
+		}
+		out, in := bm.G.OutNeighbors(v), bm.G.InNeighbors(v)
+		bm.Sizes[r]--
+		bm.Sizes[s]++
+		bm.DOut[r] -= int64(len(out))
+		bm.DOut[s] += int64(len(out))
+		bm.DIn[r] -= int64(len(in))
+		bm.DIn[s] += int64(len(in))
+		bm.DTot[r] = bm.DOut[r] + bm.DIn[r]
+		bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
+		for _, u := range out {
+			bm.M.Add(int(r), int(old[u]), -1)
+			bm.M.Add(int(s), int(membership[u]), 1)
+		}
+		for _, u := range in {
+			if t := old[u]; t == membership[u] {
+				bm.M.Add(int(t), int(r), -1)
+				bm.M.Add(int(t), int(s), 1)
+			}
+		}
+	}
 	copy(bm.Assignment, membership)
-	bm.rebuildCounts(workers)
 }
 
 // Clone returns a deep copy of bm (sharing the immutable graph).
@@ -209,25 +271,53 @@ func (bm *Blockmodel) NumNonEmptyBlocks() int {
 // from old to new block ids (-1 for removed blocks). Used after the merge
 // phase and after MCMC phases that empty blocks.
 func (bm *Blockmodel) Compact(workers int) []int32 {
+	remap, kept := keepNonEmpty(bm.Sizes)
+	if kept < bm.C {
+		bm.renumber(remap, kept, workers)
+	}
+	return remap
+}
+
+// Relabel moves every vertex of block r to block to[r], drops the
+// blocks this leaves empty with Compact's renumbering, and recounts once
+// at the new block count. The merge phase applies its merges this way.
+func (bm *Blockmodel) Relabel(to []int32, workers int) {
+	sizes := make([]int32, bm.C)
+	for r, t := range to {
+		sizes[t] += bm.Sizes[r]
+	}
+	keep, kept := keepNonEmpty(sizes)
 	remap := make([]int32, bm.C)
-	next := int32(0)
-	for r := 0; r < bm.C; r++ {
-		if bm.Sizes[r] > 0 {
-			remap[r] = next
-			next++
+	for r, t := range to {
+		remap[r] = keep[t]
+	}
+	bm.renumber(remap, kept, workers)
+}
+
+// keepNonEmpty is Compact's renumbering rule: the blocks of nonzero size
+// are numbered 0, 1, … in ascending old id, and empty blocks map to -1.
+// It returns the map and the number of blocks kept.
+func keepNonEmpty(sizes []int32) (remap []int32, kept int) {
+	remap = make([]int32, len(sizes))
+	for r, n := range sizes {
+		if n > 0 {
+			remap[r] = int32(kept)
+			kept++
 		} else {
 			remap[r] = -1
 		}
 	}
-	if int(next) == bm.C {
-		return remap
+	return remap, kept
+}
+
+// renumber maps every vertex's block through remap, shrinks C to c and
+// recounts.
+func (bm *Blockmodel) renumber(remap []int32, c, workers int) {
+	for v, b := range bm.Assignment {
+		bm.Assignment[v] = remap[b]
 	}
-	for v := range bm.Assignment {
-		bm.Assignment[v] = remap[bm.Assignment[v]]
-	}
-	bm.C = int(next)
+	bm.C = c
 	bm.rebuildCounts(workers)
-	return remap
 }
 
 // Validate recomputes all counts from scratch and reports the first

@@ -1,10 +1,14 @@
 package blockmodel
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // fixture returns a small directed graph with two obvious communities
@@ -130,6 +134,147 @@ func TestRebuildFrom(t *testing.T) {
 	}
 	if bm.Sizes[0] != 3 || bm.Sizes[1] != 3 {
 		t.Fatalf("sizes after rebuild: %v", bm.Sizes)
+	}
+}
+
+// rebuildGraph is a random multigraph on n vertices with e random edges,
+// self-loops on every tenth vertex, and the pair 0⇄1 that the moved
+// sets below always include, so some edges have both endpoints moved.
+func rebuildGraph(r *rng.RNG, n, e int) *graph.Graph {
+	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 0, Dst: 0}}
+	for v := 0; v < n; v += 10 {
+		edges = append(edges, graph.Edge{Src: int32(v), Dst: int32(v)})
+	}
+	for i := 0; i < e; i++ {
+		edges = append(edges, graph.Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n))})
+	}
+	return graph.MustNew(n, edges)
+}
+
+// moveFraction returns a copy of base with round(f·n) vertices moved to
+// another block: vertices 0 and 1 first, then others in random order.
+func moveFraction(r *rng.RNG, base []int32, c int, f float64) []int32 {
+	out := append([]int32(nil), base...)
+	k := int(math.Round(f * float64(len(base))))
+	if f > 0 {
+		k = max(k, 2)
+	}
+	order := []int{0, 1}
+	for _, v := range r.Perm(len(base)) {
+		if v > 1 {
+			order = append(order, v)
+		}
+	}
+	for _, v := range order[:k] {
+		out[v] = int32((int(base[v]) + 1 + r.Intn(c-1)) % c)
+	}
+	return out
+}
+
+// rebuildMustMatch rebuilds bm from membership and requires the exact
+// state a fresh FromAssignment gives, MDL bits included.
+func rebuildMustMatch(t *testing.T, bm *Blockmodel, membership []int32, what string) (recounted bool) {
+	t.Helper()
+	recounted = bm.RebuildFrom(membership, 2)
+	want, err := FromAssignment(bm.G, membership, bm.C, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bm.M.Equal(want.M) {
+		t.Fatalf("%s: M differs from a recount", what)
+	}
+	for _, p := range []struct {
+		name      string
+		got, want []int64
+	}{{"DOut", bm.DOut, want.DOut}, {"DIn", bm.DIn, want.DIn}, {"DTot", bm.DTot, want.DTot}} {
+		if !slices.Equal(p.got, p.want) {
+			t.Fatalf("%s: %s = %v, want %v", what, p.name, p.got, p.want)
+		}
+	}
+	if !slices.Equal(bm.Sizes, want.Sizes) || !slices.Equal(bm.Assignment, want.Assignment) {
+		t.Fatalf("%s: sizes or assignment differ from a recount", what)
+	}
+	if got, w := math.Float64bits(bm.MDL()), math.Float64bits(want.MDL()); got != w {
+		t.Fatalf("%s: MDL bits %x, want %x", what, got, w)
+	}
+	return recounted
+}
+
+// TestRebuildFromMatchesRecount pins the incremental rebuild to the
+// recount on both sides of recountShare, in both storage modes.
+func TestRebuildFromMatchesRecount(t *testing.T) {
+	for _, c := range []int{8, 300} {
+		r := rng.New(uint64(c))
+		g := rebuildGraph(r, 600, 2400)
+		base := make([]int32, g.NumVertices())
+		for v := range base {
+			base[v] = int32(r.Intn(c))
+		}
+		for _, f := range []float64{0, 0.01, 0.10, 0.30, 0.60, 1} {
+			bm, err := FromAssignment(g, base, c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bm.M.IsDense() != (c <= sparse.DenseThreshold) {
+				t.Fatalf("C=%d: unexpected storage mode", c)
+			}
+			what := fmt.Sprintf("C=%d moved=%v", c, f)
+			recounted := rebuildMustMatch(t, bm, moveFraction(r, base, c, f), what)
+			if (f <= 0.01 && recounted) || (f == 1 && !recounted) {
+				t.Fatalf("%s: recounted=%v, want the other path", what, recounted)
+			}
+			// Chain a second rebuild from the moved state.
+			rebuildMustMatch(t, bm, moveFraction(r, bm.Assignment, c, f), what+" chained")
+		}
+
+		// Empty block 0 into block 1, then refill it with a few vertices.
+		bm, _ := FromAssignment(g, base, c, 1)
+		emptied := append([]int32(nil), base...)
+		for v, b := range emptied {
+			if b == 0 {
+				emptied[v] = 1
+			}
+		}
+		rebuildMustMatch(t, bm, emptied, fmt.Sprintf("C=%d empty block 0", c))
+		if bm.Sizes[0] != 0 {
+			t.Fatalf("C=%d: block 0 holds %d vertices after emptying", c, bm.Sizes[0])
+		}
+		refilled := append([]int32(nil), emptied...)
+		refilled[0], refilled[1], refilled[5] = 0, 0, 0
+		rebuildMustMatch(t, bm, refilled, fmt.Sprintf("C=%d refill block 0", c))
+	}
+}
+
+// TestRelabelMatchesRebuildThenCompact checks the merge phase's one
+// recount against the two-step rebuild-then-compact it replaces.
+func TestRelabelMatchesRebuildThenCompact(t *testing.T) {
+	for _, c := range []int{12, 400} {
+		r := rng.New(uint64(c))
+		g, assign := randomGraph(r, 800, 3000, c)
+		to := make([]int32, c)
+		for b := range to {
+			to[b] = int32(b)
+			if r.Intn(3) == 0 {
+				to[b] = int32(r.Intn(c))
+			}
+		}
+		want, _ := FromAssignment(g, assign, c, 1)
+		membership := make([]int32, len(assign))
+		for v, b := range assign {
+			membership[v] = to[b]
+		}
+		want.RebuildFrom(membership, 1)
+		want.Compact(1)
+
+		got, _ := FromAssignment(g, assign, c, 1)
+		got.Relabel(to, 2)
+		if got.C != want.C || !slices.Equal(got.Assignment, want.Assignment) || !got.M.Equal(want.M) ||
+			!slices.Equal(got.Sizes, want.Sizes) || !slices.Equal(got.DTot, want.DTot) {
+			t.Fatalf("C=%d: Relabel state differs from rebuild-then-compact (C %d vs %d)", c, got.C, want.C)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // This file holds the performance-contract tests behind the benchmark
-// trajectory: the steady-state proposal path allocates nothing, and
-// Scratch containers sized for an early iteration at C ≈ N do not pin
-// O(N) memory after the search converges to small C.
+// trajectory: the steady-state proposal path and the incremental
+// rebuild allocate nothing, and Scratch containers sized for an early
+// iteration at C ≈ N do not pin O(N) memory after the search converges
+// to small C.
 
 // ringGraph builds a directed n-cycle with one self-loop at vertex 0,
 // so move evaluation exercises out-edges, in-edges and the self-loop
@@ -62,6 +63,35 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state EvalMove+Hastings allocates %.1f times per run, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestRebuildFromIncrementalZeroAllocs alternates RebuildFrom between
+// two memberships 5% apart, in both storage modes: after one warm-up
+// call has grown the sparse rows, the incremental path allocates
+// nothing.
+func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
+	for _, c := range []int{8, 300} {
+		r := rng.New(7)
+		g := rebuildGraph(r, 600, 2400)
+		a := make([]int32, g.NumVertices())
+		for v := range a {
+			a[v] = int32(r.Intn(c))
+		}
+		b := moveFraction(r, a, c, 0.05)
+		bm := mustFromAssignment(t, g, a, c)
+		if bm.RebuildFrom(b, 2) {
+			t.Fatalf("C=%d: 5%% moved took the recount path", c)
+		}
+		memberships := [2][]int32{a, b}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			bm.RebuildFrom(memberships[i%2], 2)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("C=%d: incremental rebuild allocates %.1f times per call, want 0", c, allocs)
+		}
 	}
 }
 

@@ -118,8 +118,8 @@ func FuzzMergeDelta(f *testing.F) {
 			if r == s {
 				continue
 			}
-			// Apply the merge the way merge.Phase does: relabel and
-			// rebuild, then revalidate everything.
+			// Move the whole block with RebuildFrom, then revalidate
+			// everything.
 			membership := append([]int32(nil), bm.Assignment...)
 			for v, b := range membership {
 				if b == r {
@@ -129,6 +129,38 @@ func FuzzMergeDelta(f *testing.F) {
 			bm.RebuildFrom(membership, 1)
 			if err := Invariants(bm); err != nil {
 				t.Fatalf("invariants after merge %d→%d: %v", r, s, err)
+			}
+		}
+	})
+}
+
+// FuzzRebuildFrom drives random small membership rewrites through
+// RebuildFrom — a few vertices at a time, so both its incremental
+// update and its recount run — and requires a consistent state after
+// every rewrite. Op layout: one byte picks how many vertices move (1–3),
+// then one (vertex, block) byte pair per move.
+func FuzzRebuildFrom(f *testing.F) {
+	f.Add([]byte("\x05\x03\x0a" + "\x00\x01\x01\x00\x00\x00\x02\x03\x03\x04\x04\x02\x05\x06\x06\x07\x07\x05\x01\x05" +
+		"\x00\x00\x01\x01\x01\x02\x02\x02" + "\x00\x00\x03" + "\x01\x00\x01\x01\x01" + "\x02\x02\x00\x03\x00\x04\x00" + "\x01\x05\x04\x02\x01"))
+	f.Add([]byte("0123456789abcdef0123456789abcdef"))
+	f.Add([]byte("\x0b\x04\x30rebuildrebuildrebuildrebuildmovesmoves"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bm, ops, ok := fuzzModel(data)
+		if !ok {
+			t.Skip()
+		}
+		n := bm.G.NumVertices()
+		membership := append([]int32(nil), bm.Assignment...)
+		steps := 0
+		for i := 0; i < len(ops) && steps < 16; steps++ {
+			k := 1 + int(ops[i])%3
+			i++
+			for ; k > 0 && i+1 < len(ops); k, i = k-1, i+2 {
+				membership[int(ops[i])%n] = int32(int(ops[i+1]) % bm.C)
+			}
+			bm.RebuildFrom(membership, 1)
+			if err := Invariants(bm); err != nil {
+				t.Fatalf("invariants after rewrite %d: %v", steps, err)
 			}
 		}
 	})

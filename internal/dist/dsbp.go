@@ -455,6 +455,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		// rank's serial list is empty), then broadcasts its accepted
 		// moves as flat (vertex, block) pairs in V* order. Each V* vertex
 		// is visited once, so a changed block is exactly an accepted move.
+		// The other ranks write the moves into next and rebuild from it.
 		var starMoves []int32
 		if mode == ModeHybrid {
 			serialSpan := sweepSpan.Child("mcmc", obs.F("pass", "serial"))
@@ -473,11 +474,12 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			commSpan := sweepSpan.Child("comm", obs.F("op", "allgather_vstar"))
 			all := comm.AllGatherInt32(starMoves)
 			commSpan.End()
-			for i := 0; i+1 < len(all[0]); i += 2 {
-				v, s := all[0][i], all[0][i+1]
-				if r != 0 {
-					applyTo(replica, int(v), s, sc)
+			if r != 0 && len(all[0]) > 0 {
+				copy(next, replica.Assignment)
+				for i := 0; i+1 < len(all[0]); i += 2 {
+					next[all[0][i]] = all[0][i+1]
 				}
+				replica.RebuildFrom(next, 1)
 			}
 		}
 
@@ -627,16 +629,6 @@ func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, ow
 		}
 	}
 	return serial, async
-}
-
-// applyTo moves vertex v to block s on a replica, keeping counts
-// consistent.
-func applyTo(replica *blockmodel.Blockmodel, v int, s int32, sc *blockmodel.Scratch) {
-	if replica.Assignment[v] == s {
-		return
-	}
-	md := replica.EvalMove(v, s, replica.Assignment, sc)
-	replica.ApplyMove(md)
 }
 
 // PartitionBounds returns the contiguous vertex range an equal-count

@@ -5,7 +5,8 @@
 // blockmodel, so each proposal sees the exact current state), then
 // zero or more asynchronous passes (all listed vertices proposed in
 // parallel against a frozen blockmodel, accepted moves recorded in a
-// private membership), each followed by a parallel rebuild:
+// private membership), each followed by a rebuild of the blockmodel
+// from the vertices the pass moved:
 //
 //   - SBP (Algorithm 2): every vertex serial, no async pass.
 //   - A-SBP (Algorithm 3): one async pass over every vertex, so
@@ -221,7 +222,8 @@ type Stats struct {
 
 	// Cost is the work/span account of the phase: proposal work in the
 	// serial passes is serial work, proposal work in the asynchronous
-	// passes and the blockmodel rebuilds are parallel work.
+	// passes is parallel work, and a blockmodel rebuild is serial work
+	// when it updates the moved vertices and parallel when it recounts.
 	Cost parallel.CostModel
 }
 

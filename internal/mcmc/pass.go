@@ -181,16 +181,22 @@ func passCancelled(done <-chan struct{}, aborted *atomic.Bool) bool {
 	return false
 }
 
-// rebuild reconstructs the blockmodel from the updated membership in
-// parallel and charges the work to the parallel account (the paper notes
-// the rebuild overhead "can be reduced by performing the reconstruction
-// of B in parallel").
+// rebuild brings bm up to date with the pass's membership and charges
+// the time by the path RebuildFrom took: its incremental update of the
+// moved vertices runs on one goroutine, so it is serial work; a recount
+// runs over the workers, so it is parallel work (the paper notes the
+// rebuild overhead "can be reduced by performing the reconstruction of
+// B in parallel").
 func rebuild(bm *blockmodel.Blockmodel, next []int32, workers int, st *Stats, sp *sweepProbe) {
 	start := time.Now()
-	bm.RebuildFrom(next, workers)
+	recounted := bm.RebuildFrom(next, workers)
 	ns := float64(time.Since(start).Nanoseconds())
 	sp.rebuild(ns)
-	st.Cost.AddParallel(ns)
+	if recounted {
+		st.Cost.AddParallel(ns)
+	} else {
+		st.Cost.AddSerial(ns)
+	}
 }
 
 // splitRNGs derives one independent stream per worker from the master.

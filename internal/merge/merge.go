@@ -179,16 +179,16 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 		st.Applied++
 	}
 
-	// Relabel the assignment through the union-find and rebuild.
-	membership := make([]int32, len(bm.Assignment))
-	for v, b := range bm.Assignment {
-		membership[v] = uf.find(b)
+	// Relabel every block through the union-find; the blockmodel drops
+	// the emptied blocks and recounts once at the new block count.
+	to := make([]int32, bm.C)
+	for r := range to {
+		to[r] = uf.find(int32(r))
 	}
 	st.Cost.AddSerial(float64(time.Since(serialStart).Nanoseconds()))
 
 	rebuildStart := time.Now()
-	bm.RebuildFrom(membership, cfg.Workers)
-	bm.Compact(cfg.Workers)
+	bm.Relabel(to, cfg.Workers)
 	st.Cost.AddParallel(float64(time.Since(rebuildStart).Nanoseconds()))
 	if cfg.Verify {
 		check.MustInvariants(bm, "merge post-phase invariants")

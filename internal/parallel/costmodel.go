@@ -5,11 +5,12 @@ package parallel
 // faithfully on hosts with fewer cores than the paper's 128-core node.
 //
 // Code paths record units of serial work (Metropolis-Hastings passes,
-// merge sort/apply, bookkeeping) and units of parallel work (asynchronous
-// Gibbs proposals, parallel blockmodel rebuild), plus a per-parallel-
-// region overhead modelling barrier + fork/join cost. Work units are
-// nanoseconds of measured execution, so T(1) reproduces the measured
-// serial runtime and T(1)/T(p) gives the modelled speedup.
+// merge sort/apply, incremental blockmodel rebuilds, bookkeeping) and
+// units of parallel work (asynchronous Gibbs proposals, blockmodel
+// recounts), plus a per-parallel-region overhead modelling barrier +
+// fork/join cost. Work units are nanoseconds of measured execution, so
+// T(1) reproduces the measured serial runtime and T(1)/T(p) gives the
+// modelled speedup.
 //
 // Plain Amdahl accounting (parallel work ÷ p) would predict ~100×
 // speedups for asynchronous Gibbs at 128 threads; the paper measures at
