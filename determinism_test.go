@@ -2,10 +2,10 @@ package hsbp_test
 
 // Seed-stability tests for the public API: for a fixed seed and worker
 // count, a full Detect run must be bit-identical across invocations for
-// every engine. The parallel engines split one RNG stream per worker
-// and pin each worker to one contiguous vertex range (degree-balanced
-// by default), so the only way this breaks is a scheduling-dependent
-// code path — exactly the regression class these tests guard against.
+// every engine. Every vertex draws from its own RNG stream and each
+// worker owns one contiguous vertex range (degree-balanced by default),
+// so the only way this breaks is a scheduling-dependent code path —
+// exactly the regression class these tests guard against.
 
 import (
 	"fmt"

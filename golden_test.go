@@ -2,7 +2,7 @@ package hsbp_test
 
 // Golden-file regression tests: fixed small graphs live under
 // testdata/golden/ together with the exact MDL and community count every
-// engine must reproduce at a fixed seed and worker count. Any numeric
+// engine must reproduce at a fixed seed, at any worker count. Any numeric
 // drift in the merge phase, an MCMC engine, the bracket search or the
 // MDL arithmetic fails here with a before/after diff.
 //
@@ -29,8 +29,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/golden graphs and expected values")
 
-// goldenWorkers pins the parallel width: the async engines are only
-// deterministic for a fixed worker count.
+// goldenWorkers is the parallel width of the golden runs. The chain does
+// not depend on it; two workers make the async passes really run in
+// parallel.
 const goldenWorkers = 2
 
 // goldenSpecs are the committed graphs, regenerated only under

@@ -310,15 +310,11 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		}
 	}()
 
-	// Every rank derives the same split and the same per-rank RNG
-	// streams from the shared seed; rank r keeps only its own stream.
+	// Every rank derives the same split and the same master stream from
+	// the shared seed, and draws the phase key from it as mcmc.Run does.
 	ranges := PartitionRanges(g, ranks, cfg.Partition)
 	lo, hi := ranges[r].Lo, ranges[r].Hi
 	master := rng.New(cfg.Seed)
-	var rn *rng.RNG
-	for i := 0; i <= r; i++ {
-		rn = master.Split()
-	}
 	sc := blockmodel.NewScratch()
 
 	// Rejoin negotiation: with Ckpt.Resume set, the ranks allgather the
@@ -366,8 +362,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 				return st, fmt.Errorf("dist: rank %d load checkpoint sweep %d: %w", r, common, lerr)
 			}
 			if rst.Seed != cfg.Seed || int(rst.Ranks) != ranks || Mode(rst.Mode) != mode ||
-				Partition(rst.Partition) != cfg.Partition || rst.Beta != cfg.Beta ||
-				rst.Threshold != cfg.Threshold || int(rst.MaxSweeps) != cfg.MaxSweeps ||
+				rst.Beta != cfg.Beta || rst.Threshold != cfg.Threshold || int(rst.MaxSweeps) != cfg.MaxSweeps ||
 				rst.HybridFraction != cfg.HybridFraction || rst.NumVertices != int64(n) ||
 				int(rst.Blocks) != c {
 				return st, fmt.Errorf("dist: rank %d checkpoint at sweep %d does not match this run's configuration", r, common)
@@ -376,7 +371,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			if err != nil {
 				return st, fmt.Errorf("dist: rank %d checkpoint at sweep %d: %w", r, common, err)
 			}
-			if err = rn.UnmarshalBinary(rst.RNG); err != nil {
+			if err = master.UnmarshalBinary(rst.RNG); err != nil {
 				return st, fmt.Errorf("dist: rank %d checkpoint RNG: %w", r, err)
 			}
 			startSweep = int(rst.Sweep)
@@ -403,33 +398,35 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 	}
 	st.FinalS = prev
 
-	// The rank's sweep runs the in-process passes over its own lists,
-	// with its one stream serving both passes.
+	// The rank's sweep runs the in-process passes over its own lists.
+	// They draw vertex v's randomness in sweep t from rng.At(key, t, v),
+	// so the ranks together run the in-process chain.
+	startMaster, _ := master.MarshalBinary()
+	key := master.Uint64()
 	serial, async := rankLists(replica, mode, cfg.HybridFraction, r, ranges[r])
 	serialBlocks := make([]int32, len(serial))
 	plan := mcmc.NewPassPlan(replica, async, 1, mcmc.PartitionStatic)
 	pcfg := mcmc.Config{Beta: cfg.Beta}
-	streams, scratches := []*rng.RNG{rn}, []*blockmodel.Scratch{sc}
+	scratches := []*blockmodel.Scratch{sc}
 	next := make([]int32, n)
 
 	// writeCkpt persists this rank's state at a sweep boundary: the
 	// agreed membership (identical on all ranks after the rebuild) plus
-	// the rank-private chain position. cur is the boundary MDL — the
-	// next sweep's convergence baseline, and the value FromCheckpoint
-	// re-verifies bit-for-bit on rejoin. Write failures are routed to
-	// the Policy's OnError hook; losing a checkpoint never fails a rank.
+	// the chain position, whose stream is the master at phase start.
+	// cur is the boundary MDL — the next sweep's convergence baseline,
+	// and the value FromCheckpoint re-verifies bit-for-bit on rejoin.
+	// Write failures are routed to the Policy's OnError hook; losing a
+	// checkpoint never fails a rank.
 	writeCkpt := func(boundary int, cur float64) {
-		b, _ := rn.MarshalBinary()
 		_ = cfg.Ckpt.WriteRank(&snapshot.RankState{
 			Seed: cfg.Seed, Rank: int32(r), Ranks: int32(ranks),
-			Mode: int32(mode), Partition: int32(cfg.Partition),
-			Beta: cfg.Beta, Threshold: cfg.Threshold,
+			Mode: int32(mode), Beta: cfg.Beta, Threshold: cfg.Threshold,
 			MaxSweeps: int32(cfg.MaxSweeps), HybridFraction: cfg.HybridFraction,
 			NumVertices: int64(n), Blocks: int32(replica.C),
 			Sweep: int32(boundary), PrevMDL: cur, InitialS: st.InitialS,
 			Proposals: st.Proposals, Accepts: st.Accepts,
 			ResumeCount: resumeCount,
-			RNG:         b, Membership: append([]int32(nil), replica.Assignment...),
+			RNG:         startMaster, Membership: append([]int32(nil), replica.Assignment...),
 		})
 	}
 	// The stop protocol adds one allreduce per sweep, so it only runs
@@ -462,7 +459,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			for i, v := range serial {
 				serialBlocks[i] = replica.Assignment[v]
 			}
-			res := mcmc.SerialPass(replica, serial, pcfg, rn, sc, nil)
+			res := mcmc.SerialPass(replica, serial, pcfg, key, sweep, sc, nil)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
 			for i, v := range serial {
@@ -486,7 +483,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		// Asynchronous pass over the owned vertices against the stale
 		// replica; accepted moves land in next only.
 		asyncSpan := sweepSpan.Child("mcmc", obs.F("pass", "async"))
-		res := mcmc.AsyncPass(replica, plan, next, pcfg, streams, scratches, nil)
+		res := mcmc.AsyncPass(replica, plan, next, pcfg, key, sweep, scratches, nil)
 		st.Proposals += res.Proposals
 		st.Accepts += res.Accepts
 		asyncSpan.End()

@@ -407,3 +407,49 @@ func TestHybridRankListsMatchInProcessVStar(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismRanksMatchWorkers asserts that a distributed phase is
+// the in-process chain: A-SBP at 1 and 4 workers and D-A-SBP at 1, 2
+// and 3 ranks end with one membership, one MDL and the same counts, and
+// so do H-SBP and D-H-SBP at 2 and 3 ranks.
+func TestDeterminismRanksMatchWorkers(t *testing.T) {
+	cases := []struct {
+		alg   mcmc.Algorithm
+		mode  Mode
+		ranks []int
+	}{
+		{mcmc.AsyncGibbs, ModeAsync, []int{1, 2, 3}},
+		{mcmc.Hybrid, ModeHybrid, []int{2, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			cfg := testCfg(1)
+			var want fingerprint
+			for i, workers := range []int{1, 4} {
+				bm, _ := distModel(t, 61)
+				mcfg := mcmc.DefaultConfig()
+				mcfg.Beta, mcfg.Threshold, mcfg.MaxSweeps = cfg.Beta, cfg.Threshold, cfg.MaxSweeps
+				mcfg.HybridFraction, mcfg.Workers = cfg.HybridFraction, workers
+				st := mcmc.Run(bm, c.alg, mcfg, rng.New(cfg.Seed))
+				got := fingerprintOf(PhaseStats{Sweeps: st.Sweeps, Proposals: st.Proposals, Accepts: st.Accepts, FinalS: st.FinalS}, bm.Assignment)
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s at %d workers: %+v, want the 1-worker chain %+v", c.alg, workers, got, want)
+				}
+			}
+			for _, ranks := range c.ranks {
+				bm, _ := distModel(t, 61)
+				st, err := RunMCMCPhase(bm, c.mode, testCfg(ranks))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fingerprintOf(st, bm.Assignment)
+				got.TrafficBytes = 0
+				if got != want {
+					t.Fatalf("%s at %d ranks: %+v, want the %s chain %+v", c.mode, ranks, got, c.alg, want)
+				}
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package mcmc
 
 import (
-	"fmt"
-
 	"repro/internal/blockmodel"
 	"repro/internal/rng"
 )
@@ -31,13 +29,11 @@ type Resume struct {
 	// to the sweep's start. Nil means the blockmodel's own assignment is
 	// the boundary state.
 	Membership []int32
-	// MasterRNG is the marshaled master stream at the boundary. Always
-	// set on capture; ignored on resume (the caller restores the master
-	// stream before invoking Run).
+	// MasterRNG is the marshaled master stream at phase start: the
+	// phase draws its key from it first, so a resumed phase draws the
+	// same key again. Always set on capture; ignored on resume (the
+	// caller restores the master stream before invoking Run).
 	MasterRNG []byte
-	// WorkerRNGs holds one marshaled stream per worker (empty for the
-	// serial engine).
-	WorkerRNGs [][]byte
 }
 
 // guard coordinates cancellation and sweep-boundary checkpointing for
@@ -46,35 +42,34 @@ type Resume struct {
 // rolls the phase back to the state it saved before the sweep started
 // mutating anything, so every checkpoint — periodic or cancellation —
 // is a clean sweep boundary. When neither a context nor a checkpoint
-// hook is configured every method is a cheap no-op and the engine's
-// RNG consumption is untouched.
+// hook is configured every method is a cheap no-op.
 type guard struct {
 	cfg *Config
 	bm  *blockmodel.Blockmodel
-	rn  *rng.RNG
 	st  *Stats
 
-	workerRNGs []*rng.RNG
+	master     []byte // the master stream at phase start, which every checkpoint carries
 	startSweep int
 
-	// What the engine mutates mid-sweep, and therefore what must be
-	// saved at the sweep top to roll a cancelled sweep back.
-	saveMembership bool // engine mutates bm.Assignment before the boundary rebuild
-	saveMaster     bool // engine consumes the master stream inside the sweep
+	// saveMembership reports that the engine mutates bm.Assignment
+	// before the boundary rebuild, so the sweep top must save it to roll
+	// a cancelled sweep back.
+	saveMembership bool
 
 	savedPrev       float64
 	savedMembership []int32
-	savedMaster     []byte
-	savedWorkers    [][]byte
 	savedProposals  int64
 	savedAccepts    int64
 }
 
-func newGuard(cfg *Config, bm *blockmodel.Blockmodel, rn *rng.RNG, workerRNGs []*rng.RNG, st *Stats, saveMembership, saveMaster bool) *guard {
-	return &guard{
-		cfg: cfg, bm: bm, rn: rn, st: st, workerRNGs: workerRNGs,
-		saveMembership: saveMembership, saveMaster: saveMaster,
+// newGuard must run before the phase draws its key from rn, so that the
+// master it records is the phase-start position.
+func newGuard(cfg *Config, bm *blockmodel.Blockmodel, rn *rng.RNG, st *Stats, saveMembership bool) *guard {
+	g := &guard{cfg: cfg, bm: bm, st: st, saveMembership: saveMembership}
+	if g.active() {
+		g.master, _ = rn.MarshalBinary()
 	}
+	return g
 }
 
 // start applies a resume record (if any) and returns the first sweep
@@ -122,24 +117,11 @@ func (g *guard) enter(sweep int, prev float64) (stop bool) {
 		g.savedPrev = prev
 		g.savedProposals, g.savedAccepts = g.st.Proposals, g.st.Accepts
 	}
-	if g.active() && g.cfg.Ctx != nil {
-		if g.saveMembership {
-			if cap(g.savedMembership) < len(g.bm.Assignment) {
-				g.savedMembership = make([]int32, len(g.bm.Assignment))
-			}
-			copy(g.savedMembership, g.bm.Assignment)
+	if g.active() && g.cfg.Ctx != nil && g.saveMembership {
+		if cap(g.savedMembership) < len(g.bm.Assignment) {
+			g.savedMembership = make([]int32, len(g.bm.Assignment))
 		}
-		if g.saveMaster {
-			g.savedMaster, _ = g.rn.MarshalBinary()
-		}
-		if len(g.workerRNGs) > 0 {
-			if g.savedWorkers == nil {
-				g.savedWorkers = make([][]byte, len(g.workerRNGs))
-			}
-			for i, w := range g.workerRNGs {
-				g.savedWorkers[i], _ = w.MarshalBinary()
-			}
-		}
+		copy(g.savedMembership, g.bm.Assignment)
 	}
 	return false
 }
@@ -167,66 +149,26 @@ func (g *guard) emitSaved(sweep int, membership []int32) {
 		InitialS:  g.st.InitialS,
 		Proposals: g.savedProposals,
 		Accepts:   g.savedAccepts,
+		MasterRNG: append([]byte(nil), g.master...),
 	}
 	if membership != nil {
 		r.Membership = append([]int32(nil), membership...)
-	}
-	if g.saveMaster {
-		r.MasterRNG = append([]byte(nil), g.savedMaster...)
-	} else {
-		r.MasterRNG, _ = g.rn.MarshalBinary()
-	}
-	if g.savedWorkers != nil {
-		r.WorkerRNGs = make([][]byte, len(g.savedWorkers))
-		for i, b := range g.savedWorkers {
-			r.WorkerRNGs[i] = append([]byte(nil), b...)
-		}
 	}
 	g.cfg.OnCheckpoint(r)
 }
 
 // emit captures a checkpoint from live state at a clean boundary: the
-// blockmodel's own assignment is the boundary membership, and every
-// stream is exactly at its boundary position.
+// blockmodel's own assignment is the boundary membership.
 func (g *guard) emit(sweep int, prev float64) {
 	if !g.active() {
 		return
 	}
-	r := &Resume{
+	g.cfg.OnCheckpoint(&Resume{
 		Sweep:     sweep,
 		PrevMDL:   prev,
 		InitialS:  g.st.InitialS,
 		Proposals: g.st.Proposals,
 		Accepts:   g.st.Accepts,
-	}
-	r.MasterRNG, _ = g.rn.MarshalBinary()
-	if len(g.workerRNGs) > 0 {
-		r.WorkerRNGs = make([][]byte, len(g.workerRNGs))
-		for i, w := range g.workerRNGs {
-			r.WorkerRNGs[i], _ = w.MarshalBinary()
-		}
-	}
-	g.cfg.OnCheckpoint(r)
-}
-
-// engineRNGs returns the per-worker streams: split fresh from the
-// master on a normal start, or restored from the resume record without
-// touching the master stream (which the caller has already positioned
-// at the boundary).
-func engineRNGs(cfg *Config, rn *rng.RNG, workers int) []*rng.RNG {
-	r := cfg.Resume
-	if r == nil {
-		return splitRNGs(rn, workers)
-	}
-	if len(r.WorkerRNGs) != workers {
-		panic(fmt.Sprintf("mcmc: resume carries %d worker streams for %d workers", len(r.WorkerRNGs), workers))
-	}
-	out := make([]*rng.RNG, workers)
-	for i, b := range r.WorkerRNGs {
-		out[i] = &rng.RNG{}
-		if err := out[i].UnmarshalBinary(b); err != nil {
-			panic(fmt.Sprintf("mcmc: invalid resume worker stream %d: %v", i, err))
-		}
-	}
-	return out
+		MasterRNG: append([]byte(nil), g.master...),
+	})
 }

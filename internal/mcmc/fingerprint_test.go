@@ -42,8 +42,9 @@ func fingerprintOf(st Stats, membership []int32) fingerprint {
 }
 
 // resumedRun cancels a phase from its second checkpoint callback,
-// rebuilds the recorded boundary state and resumes it to the end.
-func resumedRun(t *testing.T, alg Algorithm, cfg Config, seed uint64) (Stats, []int32) {
+// rebuilds the recorded boundary state and resumes it to the end at
+// resumeWorkers workers.
+func resumedRun(t *testing.T, alg Algorithm, cfg Config, seed uint64, resumeWorkers int) (Stats, []int32) {
 	t.Helper()
 	work, _ := structured(t, 71)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -78,6 +79,7 @@ func resumedRun(t *testing.T, alg Algorithm, cfg Config, seed uint64) (Stats, []
 		t.Fatal(err)
 	}
 	rcfg := cfg
+	rcfg.Workers = resumeWorkers
 	rcfg.Resume = rec
 	st := Run(resumed, alg, rcfg, master)
 	return st, resumed.Assignment
@@ -86,8 +88,9 @@ func resumedRun(t *testing.T, alg Algorithm, cfg Config, seed uint64) (Stats, []
 // TestDeterminismChainFingerprints pins every engine's chain, fresh at
 // one and three workers and across a cancel-and-resume, against
 // testdata/fingerprints.json. The chain depends only on the seed and
-// the configured worker count, so the goldens hold at any GOMAXPROCS.
-// Run with -update to re-record them.
+// the algorithm settings, so an engine's three entries are equal and
+// the goldens hold at any GOMAXPROCS. Run with -update to re-record
+// them.
 func TestDeterminismChainFingerprints(t *testing.T) {
 	got := map[string]fingerprint{}
 	for _, alg := range allAlgorithms {
@@ -100,7 +103,7 @@ func TestDeterminismChainFingerprints(t *testing.T) {
 		}
 		cfg := testConfig()
 		cfg.Workers = 3
-		st, membership := resumedRun(t, alg, cfg, 17)
+		st, membership := resumedRun(t, alg, cfg, 17, 3)
 		got[fmt.Sprintf("%s/workers=3/resumed", alg)] = fingerprintOf(st, membership)
 	}
 	checkFingerprints(t, "testdata/fingerprints.json", got)

@@ -122,7 +122,8 @@ type Config struct {
 	HybridFraction float64
 
 	// Workers is the parallel width of the asynchronous passes and the
-	// blockmodel rebuild; <= 0 means GOMAXPROCS.
+	// blockmodel rebuild; <= 0 means GOMAXPROCS. Every vertex draws from
+	// its own stream, so the width never changes the chain.
 	Workers int
 
 	// AllowEmptyBlocks permits vertex moves that empty their source
@@ -137,8 +138,8 @@ type Config struct {
 
 	// Partition selects the work distribution of the asynchronous
 	// passes; the zero value is PartitionDegree. Ignored by SerialMH.
-	// With Workers == 1 both strategies degenerate to a single range,
-	// so the partition choice never affects single-worker results.
+	// Like Workers, it changes only which worker proposes a vertex,
+	// never the chain.
 	Partition Partition
 
 	// Obs attaches live telemetry (internal/obs): engine-labeled
@@ -169,10 +170,9 @@ type Config struct {
 
 	// Resume, when non-nil, continues a phase from a checkpoint instead
 	// of starting fresh: the blockmodel must already hold the boundary
-	// state, the master RNG must already be restored to its boundary
-	// position, and the worker streams are taken from the record rather
-	// than split from the master. Callers validate the record against
-	// the configuration (worker count, stream sizes) before running.
+	// state and the master RNG must already be restored to the record's
+	// MasterRNG, its phase-start position. Workers and Partition may
+	// differ from the interrupted run's.
 	Resume *Resume
 
 	// Verify enables oracle cross-checking (internal/check): every
@@ -310,8 +310,10 @@ func (r *SweepRecord) finish() {
 }
 
 // Run executes the MCMC phase of the selected algorithm on bm in place
-// and returns phase statistics. rn is the master RNG; the engines with
-// asynchronous passes split one independent stream per worker from it.
+// and returns phase statistics. rn is the master RNG: the phase draws
+// one key from it, and vertex v's proposal in sweep t draws from
+// rng.At(key, t, v), so the chain depends on rn and cfg's algorithm
+// settings but not on Workers or Partition.
 func Run(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rng.RNG) Stats {
 	sched := newSchedule(bm, alg, cfg)
 	po := newPhaseObs(cfg.Obs, alg, sched.workers, bm.MDL(), bm.NumNonEmptyBlocks())

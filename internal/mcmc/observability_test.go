@@ -66,39 +66,42 @@ func TestPerSweepRecords(t *testing.T) {
 	}
 }
 
-// TestDeterminismPartitionWorkers1 is the bit-compatibility guarantee of
-// the degree-aware partitioner: with a single worker both strategies
-// collapse to one range over the whole vertex set, so same-seed runs
-// must produce identical assignments and identical chain statistics.
-func TestDeterminismPartitionWorkers1(t *testing.T) {
+// TestDeterminismWorkerCount asserts that the chain depends on neither
+// the worker count nor the partition: every engine gives one
+// fingerprint at 1, 2, 3 and 5 workers under both partitions, and a
+// phase checkpointed at 3 workers and resumed at 1 ends where the
+// uninterrupted run does.
+func TestDeterminismWorkerCount(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
-			run := func(p Partition) ([]int32, int64, float64) {
-				bm, _ := structured(t, 33)
-				cfg := testConfig()
-				cfg.Workers = 1
-				cfg.Partition = p
-				st := Run(bm, alg, cfg, rng.New(6))
-				return append([]int32(nil), bm.Assignment...), st.Proposals, st.FinalS
-			}
-			aAsg, aProps, aMDL := run(PartitionDegree)
-			bAsg, bProps, bMDL := run(PartitionStatic)
-			if aProps != bProps || aMDL != bMDL {
-				t.Fatalf("workers=1 stats differ across partitions: (%d, %v) vs (%d, %v)",
-					aProps, aMDL, bProps, bMDL)
-			}
-			for v := range aAsg {
-				if aAsg[v] != bAsg[v] {
-					t.Fatalf("workers=1 assignment differs at vertex %d: %d vs %d", v, aAsg[v], bAsg[v])
+			var want fingerprint
+			for _, workers := range []int{1, 2, 3, 5} {
+				for _, p := range []Partition{PartitionDegree, PartitionStatic} {
+					bm, _ := structured(t, 71)
+					cfg := testConfig()
+					cfg.Workers = workers
+					cfg.Partition = p
+					got := fingerprintOf(Run(bm, alg, cfg, rng.New(17)), bm.Assignment)
+					if workers == 1 && p == PartitionDegree {
+						want = got
+					} else if got != want {
+						t.Fatalf("workers=%d/%s: %+v, want the 1-worker chain %+v", workers, p, got, want)
+					}
 				}
+			}
+			cfg := testConfig()
+			cfg.Workers = 3
+			st, membership := resumedRun(t, alg, cfg, 17, 1)
+			if got := fingerprintOf(st, membership); got != want {
+				t.Fatalf("checkpointed at 3 workers, resumed at 1: %+v, want %+v", got, want)
 			}
 		})
 	}
 }
 
-// TestDeterminismEnginesSameSeed asserts that for a fixed seed and
-// worker count every engine produces an identical final assignment
-// across two runs — both partition strategies.
+// TestDeterminismEnginesSameSeed asserts that for a fixed seed every
+// engine produces an identical final assignment across two runs — both
+// partition strategies.
 func TestDeterminismEnginesSameSeed(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		for _, p := range []Partition{PartitionDegree, PartitionStatic} {

@@ -55,18 +55,19 @@ type PassResult struct {
 	BusyNS    []float64 // wall busy nanoseconds per range; one entry for a serial pass
 
 	// Aborted reports that the pass saw cancellation and stopped early,
-	// leaving its state (bm or next, and the streams) mid-sweep: the
-	// caller must discard it and roll back to the sweep boundary.
+	// leaving bm or next mid-sweep: the caller must discard it and roll
+	// back to the sweep boundary.
 	Aborted bool
 }
 
 // SerialPass is the live Metropolis-Hastings pass of Algorithms 2 and
-// 4: it visits vertices in order on stream rn, and every accepted move
-// updates bm in place, so each proposal sees the exact current state.
+// 4: it visits vertices in order, and every accepted move updates bm in
+// place, so each proposal sees the exact current state. Vertex v draws
+// from rng.At(key, sweep, v), as it would in an async pass.
 //
 // done, when non-nil, is the cancellation channel, polled every 256
 // vertices.
-func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, rn *rng.RNG, sc *blockmodel.Scratch, done <-chan struct{}) PassResult {
+func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, key uint64, sweep int, sc *blockmodel.Scratch, done <-chan struct{}) PassResult {
 	var res PassResult
 	start := time.Now()
 	for i, v := range vertices {
@@ -74,7 +75,7 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, rn *rng
 			res.Aborted = true
 			break
 		}
-		md, proposed, accepted := step(bm, int(v), &cfg, rn, sc)
+		md, proposed, accepted := step(bm, int(v), &cfg, key, sweep, sc)
 		if proposed {
 			res.Proposals++
 		}
@@ -90,19 +91,19 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, rn *rng
 // AsyncPass runs one asynchronous Gibbs pass (Algorithm 3) over the
 // plan's vertex set. It first copies bm.Assignment into next; proposals
 // then read bm (stale, frozen during the pass) and accepted moves write
-// next[v]. Worker w owns plan range w and draws from workerRNGs[w], so
-// all writes are disjoint and the pass is race-free.
+// next[v]. Worker w owns plan range w, so all writes are disjoint and
+// the pass is race-free. Vertex v draws from rng.At(key, sweep, v), so
+// next comes out the same however the plan splits the vertices.
 //
 // done, when non-nil, is the cancellation channel: workers poll it (and
 // a shared abort flag) every 256 vertices and unwind early.
-func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Config, workerRNGs []*rng.RNG, scratches []*blockmodel.Scratch, done <-chan struct{}) PassResult {
+func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Config, key uint64, sweep int, scratches []*blockmodel.Scratch, done <-chan struct{}) PassResult {
 	copy(next, bm.Assignment)
 	var proposals, accepts atomic.Int64
 	var aborted atomic.Bool
 	busy := make([]float64, len(plan.ranges))
 	parallel.ForRanges(plan.ranges, func(lo, hi, w int) {
 		start := time.Now()
-		rw := workerRNGs[w]
 		sc := scratches[w]
 		var localProp, localAcc int64
 		for i := lo; i < hi; i++ {
@@ -113,7 +114,7 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Confi
 			if plan.vertices != nil {
 				v = int(plan.vertices[i])
 			}
-			md, proposed, accepted := step(bm, v, &cfg, rw, sc)
+			md, proposed, accepted := step(bm, v, &cfg, key, sweep, sc)
 			if proposed {
 				localProp++
 			}
@@ -131,12 +132,15 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Confi
 
 // step is one Metropolis-Hastings step for v against bm: draw a target
 // block, evaluate the move and decide it with the exact-asynchronous-
-// Gibbs rule exp(−β·ΔS)·H. proposed reports that the target differed
-// from v's block (the move was evaluated); accepted that the caller
-// should apply md. The serial pass applies it to bm, the async pass
-// records it in its private membership.
-func step(bm *blockmodel.Blockmodel, v int, cfg *Config, rn *rng.RNG, sc *blockmodel.Scratch) (md blockmodel.MoveDelta, proposed, accepted bool) {
-	s := bm.ProposeVertexMove(v, bm.Assignment, rn)
+// Gibbs rule exp(−β·ΔS)·H. Every draw comes from v's own stream
+// rng.At(key, sweep, v); each sweep visits v once, so no stream is
+// drawn from twice. proposed reports that the target differed from v's
+// block (the move was evaluated); accepted that the caller should apply
+// md. The serial pass applies it to bm, the async pass records it in
+// its private membership.
+func step(bm *blockmodel.Blockmodel, v int, cfg *Config, key uint64, sweep int, sc *blockmodel.Scratch) (md blockmodel.MoveDelta, proposed, accepted bool) {
+	rn := rng.At(key, uint64(sweep), uint64(v))
+	s := bm.ProposeVertexMove(v, bm.Assignment, &rn)
 	if s == bm.Assignment[v] {
 		return md, false, false
 	}
@@ -154,7 +158,7 @@ func step(bm *blockmodel.Blockmodel, v int, cfg *Config, rn *rng.RNG, sc *blockm
 	if cfg.Verify {
 		check.MustHastings(bm, bm.Assignment, v, s, h)
 	}
-	return md, true, accept(&md, h, cfg.Beta, rn)
+	return md, true, accept(&md, h, cfg.Beta, &rn)
 }
 
 // isClosed polls a cancellation channel without blocking (false for a
@@ -197,15 +201,6 @@ func rebuild(bm *blockmodel.Blockmodel, next []int32, workers int, st *Stats, sp
 	} else {
 		st.Cost.AddSerial(ns)
 	}
-}
-
-// splitRNGs derives one independent stream per worker from the master.
-func splitRNGs(rn *rng.RNG, workers int) []*rng.RNG {
-	out := make([]*rng.RNG, workers)
-	for i := range out {
-		out[i] = rn.Split()
-	}
-	return out
 }
 
 // newScratches allocates one evaluation Scratch per worker.

@@ -11,8 +11,8 @@ import (
 )
 
 // schedule is one engine expressed as the shape of its sweep: a live
-// serial pass over serial on the master stream, then one asynchronous
-// pass per plan, each followed by a blockmodel rebuild.
+// serial pass over serial, then one asynchronous pass per plan, each
+// followed by a blockmodel rebuild.
 //
 //	SBP    every vertex serial, no async pass
 //	A-SBP  one async pass over every vertex
@@ -22,7 +22,7 @@ type schedule struct {
 	alg     Algorithm
 	serial  []int32
 	plans   []PassPlan
-	workers int // async worker streams; 0 when the schedule has no async pass
+	workers int // async pass width; 0 when the schedule has no async pass
 }
 
 // newSchedule builds alg's schedule once per phase.
@@ -43,8 +43,8 @@ func newSchedule(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config) schedule 
 		s.serial, vMinus = SplitByDegree(bm, cfg.HybridFraction)
 		groups = [][]int32{vMinus}
 	case BatchedGibbs:
-		// Static contiguous batches: vertex order is fixed, so results
-		// are deterministic for a given seed and worker count.
+		// Static contiguous batches: every vertex is in one batch, so
+		// each sweep still draws from each vertex's stream once.
 		batches := cfg.Batches
 		if batches < 1 {
 			batches = DefaultBatches
@@ -64,10 +64,11 @@ func newSchedule(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config) schedule 
 
 // run is the one sweep loop every engine shares: guard, probe, the
 // serial pass, then each async pass with its rebuild, then the
-// convergence test.
+// convergence test. The phase draws one key from the master stream,
+// and every pass draws vertex v's randomness in sweep t from
+// rng.At(key, t, v).
 func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs) Stats {
 	st := Stats{Algorithm: s.alg, InitialS: bm.MDL()}
-	workerRNGs := engineRNGs(&cfg, rn, s.workers)
 	scratches := newScratches(s.workers)
 	serialScratch := blockmodel.NewScratch()
 	next := make([]int32, len(bm.Assignment))
@@ -76,11 +77,12 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 	for _, p := range s.plans {
 		width = max(width, len(p.ranges))
 	}
-	// A serial pass mutates bm live and consumes the master stream
-	// mid-sweep; a second async pass follows a mid-sweep rebuild. Either
-	// way a cancelled sweep must roll back what it already changed.
+	// A serial pass mutates bm live; a second async pass follows a
+	// mid-sweep rebuild. Either way a cancelled sweep must roll back the
+	// membership it already changed.
 	hasSerial := len(s.serial) > 0
-	gd := newGuard(&cfg, bm, rn, workerRNGs, &st, hasSerial || len(s.plans) > 1, hasSerial)
+	gd := newGuard(&cfg, bm, rn, &st, hasSerial || len(s.plans) > 1)
+	key := rn.Uint64()
 	startSweep, prev := gd.start()
 	done := gd.done()
 
@@ -90,7 +92,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 		}
 		sp := po.sweep(sweep, width, &st)
 		if hasSerial {
-			res := SerialPass(bm, s.serial, cfg, rn, serialScratch, done)
+			res := SerialPass(bm, s.serial, cfg, key, sweep, serialScratch, done)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
 			if res.Aborted {
@@ -104,7 +106,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 			}
 		}
 		for _, plan := range s.plans {
-			res := AsyncPass(bm, plan, next, cfg, workerRNGs, scratches, done)
+			res := AsyncPass(bm, plan, next, cfg, key, sweep, scratches, done)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
 			if res.Aborted {

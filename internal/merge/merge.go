@@ -77,7 +77,9 @@ type candidate struct {
 
 // Phase merges numToMerge communities of bm (Algorithm 1), rebuilding and
 // compacting the blockmodel. It returns phase statistics. bm must have
-// more than numToMerge non-empty blocks.
+// more than numToMerge non-empty blocks. The phase draws one key from
+// rn, and block r's candidates draw from rng.At(key, 0, r), so the
+// merges do not depend on cfg.Workers.
 func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) Stats {
 	st := Stats{Requested: numToMerge}
 	if numToMerge <= 0 || bm.C < 2 {
@@ -94,10 +96,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	span := cfg.Obs.StartSpan("merge",
 		obs.F("blocks", bm.NumNonEmptyBlocks()), obs.F("requested", numToMerge))
 	workers := parallel.DefaultWorkers(cfg.Workers)
-	workerRNGs := make([]*rng.RNG, workers)
-	for i := range workerRNGs {
-		workerRNGs[i] = rn.Split()
-	}
+	key := rn.Uint64()
 
 	// Parallel proposal stage: the best of cfg.Candidates merges per
 	// non-empty block.
@@ -106,7 +105,6 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	workTimes := make([]float64, workers)
 	parallel.ForChunked(bm.C, workers, func(lo, hi, w int) {
 		start := time.Now()
-		rw := workerRNGs[w]
 		sc := blockmodel.NewScratch()
 		var local int64
 		for r := lo; r < hi; r++ {
@@ -114,8 +112,9 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 				continue
 			}
 			c := candidate{from: int32(r), delta: 0, valid: false}
+			rr := rng.At(key, 0, uint64(r))
 			for i := 0; i < cfg.Candidates; i++ {
-				s := bm.ProposeMerge(int32(r), rw)
+				s := bm.ProposeMerge(int32(r), &rr)
 				local++
 				d := bm.EvalMerge(int32(r), s, sc)
 				if cfg.Verify {
@@ -139,9 +138,9 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 
 	// Last cancellation point: past here the blockmodel is mutated, so a
 	// checkpointed caller could no longer resume from the iteration
-	// boundary. The proposal work above only consumed worker streams
-	// split from rn — a resumed phase re-splits from the restored master
-	// and replays identically.
+	// boundary. The proposal work above only drew the key from rn — a
+	// resumed phase draws it again from the restored master and replays
+	// identically.
 	if cancelled(cfg.Ctx) {
 		st.Interrupted = true
 		return st

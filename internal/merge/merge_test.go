@@ -132,18 +132,23 @@ func TestPhaseParallelMatchesSerial(t *testing.T) {
 	cfgSerial.Workers = 1
 	cfgPar := DefaultConfig()
 	cfgPar.Workers = 4
-	// Note: worker RNG streams depend on worker count, so outcomes may
-	// differ; both must still be *valid* and reduce to the same count.
+	// Block r's candidates draw from their own stream, so the width
+	// changes only which worker proposes them: the merges are the same.
 	Phase(a, 40, cfgSerial, rng.New(14))
 	Phase(b, 40, cfgPar, rng.New(14))
-	if a.NumNonEmptyBlocks() != b.NumNonEmptyBlocks() {
-		t.Fatalf("block counts differ: %d vs %d", a.NumNonEmptyBlocks(), b.NumNonEmptyBlocks())
-	}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if a.C != b.C {
+		t.Fatalf("block counts differ: %d vs %d", a.C, b.C)
+	}
+	for v := range a.Assignment {
+		if a.Assignment[v] != b.Assignment[v] {
+			t.Fatalf("membership differs at vertex %d: %d at 1 worker, %d at 4", v, a.Assignment[v], b.Assignment[v])
+		}
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package rng provides a fast, deterministic, splittable pseudo-random
-// number generator used throughout the SBP implementation.
+// Package rng provides the fast, deterministic pseudo-random number
+// generator used throughout the SBP implementation.
 //
-// Parallel MCMC requires every worker to own an independent random stream
-// so that results are reproducible for a given seed regardless of
-// scheduling. We use xoshiro256** for generation and SplitMix64 for
-// seeding/splitting, the same construction recommended by the xoshiro
-// authors: streams produced by Split are seeded from a SplitMix64 walk of
-// the parent state and are statistically independent for all practical
-// purposes.
+// Generation is xoshiro256** seeded through SplitMix64, the construction
+// the xoshiro authors recommend. Besides the sequential streams of New,
+// At gives counter-based streams: one short stream per draw site, keyed
+// by a phase key and two coordinates (a sweep and a vertex, say). A
+// parallel pass that draws vertex v's randomness from At(key, sweep, v)
+// consumes the same numbers however its vertices are split across
+// goroutines or processes, so its result depends on the seed alone.
 //
-// The zero value is not usable; construct with New.
+// The zero value is not usable; construct with New or At.
 package rng
 
 import (
@@ -19,7 +19,7 @@ import (
 )
 
 // RNG is a xoshiro256** generator. It is NOT safe for concurrent use;
-// use Split to derive one generator per goroutine.
+// give each goroutine its own, from New or At.
 type RNG struct {
 	s0, s1, s2, s3 uint64
 }
@@ -44,16 +44,22 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-// Split returns a new generator whose stream is independent of r's.
-// r itself advances, so successive Split calls yield distinct streams.
-func (r *RNG) Split() *RNG {
-	x := r.Uint64()
-	child := &RNG{}
-	child.s0 = splitMix64(&x)
-	child.s1 = splitMix64(&x)
-	child.s2 = splitMix64(&x)
-	child.s3 = splitMix64(&x)
-	return child
+// At returns the stream of draw site (a, b) under key. The three words
+// are folded through SplitMix64 into one seed, which seeds the
+// xoshiro256** state as New does, so neighbouring sites get unrelated
+// streams. The value is returned, not a pointer, so a caller that takes
+// its address for one site's draws keeps it on the stack.
+func At(key, a, b uint64) RNG {
+	x := key
+	x = splitMix64(&x) ^ a
+	x = splitMix64(&x) ^ b
+	x = splitMix64(&x)
+	var r RNG
+	r.s0 = splitMix64(&x)
+	r.s1 = splitMix64(&x)
+	r.s2 = splitMix64(&x)
+	r.s3 = splitMix64(&x)
+	return r
 }
 
 // MarshaledSize is the length of a marshaled RNG state in bytes.
@@ -277,23 +283,4 @@ func (r *RNG) ShuffleInts(s []int) {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// Jump is equivalent to 2^128 calls to Uint64; it can be used to generate
-// 2^128 non-overlapping subsequences for parallel computations.
-func (r *RNG) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				s0 ^= r.s0
-				s1 ^= r.s1
-				s2 ^= r.s2
-				s3 ^= r.s3
-			}
-			r.Uint64()
-		}
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }

@@ -41,18 +41,41 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	matches := 0
+// TestAt pins the counter-based streams the MCMC passes draw from: a
+// site always yields the same stream, neighbouring sites (in every
+// coordinate) yield unrelated ones, and the first outputs are fixed, so
+// a change to the hash would show here before it re-keys every chain.
+func TestAt(t *testing.T) {
+	a, b := At(7, 3, 11), At(7, 3, 11)
 	for i := 0; i < 1000; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			matches++
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("site (7, 3, 11) gave two streams, diverging at draw %d", i)
 		}
 	}
-	if matches > 0 {
-		t.Fatalf("sibling streams matched %d times of 1000", matches)
+	sites := [][3]uint64{{7, 3, 11}, {8, 3, 11}, {7, 4, 11}, {7, 3, 12}, {7, 11, 3}, {0, 0, 0}, {0, 0, 1}, {0, 1, 0}}
+	seen := map[uint64][3]uint64{}
+	for _, site := range sites {
+		r := At(site[0], site[1], site[2])
+		for i := 0; i < 100; i++ {
+			x := r.Uint64()
+			if prev, ok := seen[x]; ok {
+				t.Fatalf("sites %v and %v share output %#x", prev, site, x)
+			}
+			seen[x] = site
+		}
+	}
+	for _, c := range []struct {
+		key, a, b uint64
+		want      [2]uint64
+	}{
+		{0, 0, 0, [2]uint64{0x8a21cd34a214a917, 0x9c507e12243e64d0}},
+		{7, 3, 11, [2]uint64{0xf0694ecb430678bc, 0xad5d2003f28ed375}},
+		{1 << 63, 1<<32 - 1, 12345, [2]uint64{0x02b6521420016de0, 0x8ae68595f3aad94a}},
+	} {
+		r := At(c.key, c.a, c.b)
+		if got := [2]uint64{r.Uint64(), r.Uint64()}; got != c.want {
+			t.Errorf("At(%d, %d, %d) = %#x, want %#x", c.key, c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -240,21 +263,6 @@ func TestNormMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("Norm variance %.4f", variance)
-	}
-}
-
-func TestJumpChangesStream(t *testing.T) {
-	a := New(37)
-	b := New(37)
-	b.Jump()
-	matches := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			matches++
-		}
-	}
-	if matches > 0 {
-		t.Fatalf("jumped stream overlaps original %d times", matches)
 	}
 }
 

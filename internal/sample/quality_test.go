@@ -23,8 +23,8 @@ var updateQuality = flag.Bool("update", false, "regenerate quality-floor goldens
 // full-graph golden search stays test-suite friendly.
 const qualityScale = 0.005
 
-// qualityWorkers pins the engine width so the suite is bit-identical on
-// every machine (worker count shapes the RNG stream layout).
+// qualityWorkers is the engine width of the suite. Results do not depend
+// on it, so the suite is bit-identical on every machine.
 const qualityWorkers = 2
 
 // qualityClasses are the Table-1 graph classes under quality floors:

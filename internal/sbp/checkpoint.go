@@ -13,12 +13,12 @@ import (
 
 // Resume continues the search persisted in opts.Checkpoint.Dir. The
 // deterministic configuration — seed, engine, every tunable that shapes
-// the RNG consumption order — is taken from the checkpoint, not from
-// opts, so the continuation is bit-identical to the uninterrupted run;
-// opts contributes only the non-deterministic handles (Ctx, Obs,
-// Progress, Verify and the Checkpoint policy itself). It fails with the
-// typed snapshot errors on damaged checkpoints and with fs.ErrNotExist
-// when none has been written yet.
+// the chain — is taken from the checkpoint, not from opts, so the
+// continuation is bit-identical to the uninterrupted run; opts
+// contributes the rest: the worker widths and partition (which never
+// change the chain), Ctx, Obs, Progress, Verify and the Checkpoint
+// policy itself. It fails with the typed snapshot errors on damaged
+// checkpoints and with fs.ErrNotExist when none has been written yet.
 func Resume(g *graph.Graph, opts Options) (*Result, error) {
 	if !opts.Checkpoint.Enabled() {
 		return nil, fmt.Errorf("sbp: Resume requires Checkpoint.Dir")
@@ -38,7 +38,6 @@ func Resume(g *graph.Graph, opts Options) (*Result, error) {
 	opts.MCMC.HybridFraction = rs.HybridFraction
 	opts.MCMC.AllowEmptyBlocks = rs.AllowEmptyBlocks
 	opts.MCMC.Batches = int(rs.Batches)
-	opts.MCMC.Partition = mcmc.Partition(rs.Partition)
 	opts.Merge.Candidates = int(rs.MergeCandidates)
 	opts.ReductionFactor = rs.ReductionFactor
 	opts.GoldenRatio = rs.GoldenRatio
@@ -68,8 +67,7 @@ func newCheckpointer(g *graph.Graph, opts *Options, rs *snapshot.SearchState) *c
 }
 
 // base fills the configuration and identity fields every search
-// checkpoint carries. Worker counts are the resolved values run()
-// pinned, so a resume on any machine replays the same stream layout.
+// checkpoint carries.
 func (ck *checkpointer) base(iter int, done bool) *snapshot.SearchState {
 	o := ck.opts
 	return &snapshot.SearchState{
@@ -79,12 +77,9 @@ func (ck *checkpointer) base(iter int, done bool) *snapshot.SearchState {
 		Threshold:        o.MCMC.Threshold,
 		MaxSweeps:        int32(o.MCMC.MaxSweeps),
 		HybridFraction:   o.MCMC.HybridFraction,
-		MCMCWorkers:      int32(o.MCMC.Workers),
 		AllowEmptyBlocks: o.MCMC.AllowEmptyBlocks,
 		Batches:          int32(o.MCMC.Batches),
-		Partition:        int32(o.MCMC.Partition),
 		MergeCandidates:  int32(o.Merge.Candidates),
-		MergeWorkers:     int32(o.Merge.Workers),
 		ReductionFactor:  o.ReductionFactor,
 		GoldenRatio:      o.GoldenRatio,
 		NumVertices:      int64(ck.g.NumVertices()),
@@ -121,7 +116,7 @@ func (ck *checkpointer) writeIteration(br *bracket, rn *rng.RNG, iter int, done 
 // writePhase checkpoints an MCMC sweep boundary inside an iteration.
 // The bracket is the iteration-top state (the phase has not been
 // inserted yet); the master RNG travels inside the Resume record, which
-// the engine marshaled at the exact boundary.
+// the engine marshaled at phase start.
 func (ck *checkpointer) writePhase(br *bracket, iter, fromC, target int, work *blockmodel.Blockmodel, ms merge.Stats, r *mcmc.Resume) {
 	if ck == nil {
 		return
@@ -147,7 +142,6 @@ func (ck *checkpointer) writePhase(br *bracket, iter, fromC, target int, work *b
 		InitialS:       r.InitialS,
 		Proposals:      r.Proposals,
 		Accepts:        r.Accepts,
-		WorkerRNGs:     r.WorkerRNGs,
 	}
 	_ = ck.pol.WriteSearch(st)
 }
@@ -184,24 +178,11 @@ func restoreBracket(br *bracket, rs *snapshot.SearchState, g *graph.Graph, worke
 // restorePhase reconstructs a mid-iteration resume: the working
 // blockmodel at the recorded sweep boundary (MDL-verified), the merge
 // stats of the already-completed merge phase, and the engine's chain
-// position with its validated worker streams.
+// position.
 func restorePhase(g *graph.Graph, opts *Options, p *snapshot.PhaseState) (fromC, target int, work *blockmodel.Blockmodel, ms merge.Stats, resume *mcmc.Resume, err error) {
 	work, err = blockmodel.FromCheckpoint(g, p.Membership, int(p.WorkBlocks), p.WorkMDL, opts.MCMC.Workers)
 	if err != nil {
 		return 0, 0, nil, ms, nil, fmt.Errorf("sbp: phase state: %w", err)
-	}
-	wantWorkers := 0
-	if opts.Algorithm != mcmc.SerialMH {
-		wantWorkers = opts.MCMC.Workers
-	}
-	if len(p.WorkerRNGs) != wantWorkers {
-		return 0, 0, nil, ms, nil, fmt.Errorf("sbp: checkpoint carries %d worker streams, engine expects %d", len(p.WorkerRNGs), wantWorkers)
-	}
-	for i, b := range p.WorkerRNGs {
-		var tmp rng.RNG
-		if uerr := tmp.UnmarshalBinary(b); uerr != nil {
-			return 0, 0, nil, ms, nil, fmt.Errorf("sbp: checkpoint worker stream %d: %w", i, uerr)
-		}
 	}
 	ms = merge.Stats{
 		Requested: int(p.MergeRequested),
@@ -209,12 +190,11 @@ func restorePhase(g *graph.Graph, opts *Options, p *snapshot.PhaseState) (fromC,
 		Proposals: p.MergeProposals,
 	}
 	resume = &mcmc.Resume{
-		Sweep:      int(p.Sweep),
-		PrevMDL:    p.PrevMDL,
-		InitialS:   p.InitialS,
-		Proposals:  p.Proposals,
-		Accepts:    p.Accepts,
-		WorkerRNGs: p.WorkerRNGs,
+		Sweep:     int(p.Sweep),
+		PrevMDL:   p.PrevMDL,
+		InitialS:  p.InitialS,
+		Proposals: p.Proposals,
+		Accepts:   p.Accepts,
 	}
 	return int(p.FromBlocks), int(p.TargetBlocks), work, ms, resume, nil
 }

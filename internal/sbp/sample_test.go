@@ -20,7 +20,7 @@ func sampledOptions(alg mcmc.Algorithm) Options {
 }
 
 // TestSampledRunDeterministic: with sampling enabled, sbp.Run must stay
-// bit-identical at fixed seed/workers for all four engines, and the
+// bit-identical at a fixed seed for all four engines, and the
 // pipeline stats must account for every vertex.
 func TestSampledRunDeterministic(t *testing.T) {
 	g := ckptGraph(t)

@@ -57,7 +57,7 @@ type Options struct {
 	// large graphs at a small, quality-floor-tested NMI cost (see
 	// internal/sample). The sampler's stream is seeded by Sample.Seed
 	// and detection by Seed^salt, so sampled runs are bit-identical at
-	// fixed seeds/workers just like full runs.
+	// fixed seeds just like full runs.
 	Sample sample.Options
 
 	// Verify runs the whole search in oracle-verified mode: it enables
@@ -272,20 +272,6 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 	if opts.Verify {
 		opts.MCMC.Verify = true
 		opts.Merge.Verify = true
-	}
-
-	// Pin the worker widths that shape the RNG stream layout. A fresh
-	// run resolves the GOMAXPROCS default once so the values can be
-	// checkpointed; a resumed run replays the checkpointed widths, so
-	// the machine's own core count can never break bit-identity.
-	if rs != nil {
-		opts.MCMC.Workers = int(rs.MCMCWorkers)
-		opts.Merge.Workers = int(rs.MergeWorkers)
-	} else {
-		if opts.Algorithm != mcmc.SerialMH {
-			opts.MCMC.Workers = parallel.DefaultWorkers(opts.MCMC.Workers)
-		}
-		opts.Merge.Workers = parallel.DefaultWorkers(opts.Merge.Workers)
 	}
 
 	// Run-level telemetry. Iteration gauges track the search live; the

@@ -1,12 +1,15 @@
 package sbp
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/mcmc"
 	"repro/internal/metrics"
+	"repro/internal/snapshot"
 )
 
 func TestBracketInsertOrdering(t *testing.T) {
@@ -174,6 +177,52 @@ func TestRunDeterministic(t *testing.T) {
 	b := Run(g, opts)
 	if a.MDL != b.MDL || a.NumCommunities != b.NumCommunities {
 		t.Fatalf("runs differ: MDL %v vs %v", a.MDL, b.MDL)
+	}
+}
+
+// TestDeterminismWorkerCount: a whole search is bit-identical at 1, 2
+// and 4 MCMC and merge workers for every engine, and a search
+// checkpointed inside an MCMC phase at 4 workers resumes at 1 worker to
+// the same result.
+func TestDeterminismWorkerCount(t *testing.T) {
+	g := ckptGraph(t)
+	for _, alg := range []mcmc.Algorithm{mcmc.SerialMH, mcmc.AsyncGibbs, mcmc.Hybrid, mcmc.BatchedGibbs} {
+		t.Run(alg.String(), func(t *testing.T) {
+			withWorkers := func(w int) Options {
+				opts := ckptOptions(alg)
+				opts.MCMC.Workers, opts.Merge.Workers = w, w
+				return opts
+			}
+			want := Run(g, withWorkers(1))
+			for _, w := range []int{2, 4} {
+				sameResult(t, fmt.Sprintf("workers=%d", w), want, Run(g, withWorkers(w)))
+			}
+
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := withWorkers(4)
+			opts.Ctx = ctx
+			writes := 0
+			opts.Checkpoint = snapshot.Policy{Dir: dir, Every: 1, OnWrite: func(string) {
+				if writes++; writes == 2 {
+					cancel()
+				}
+			}}
+			if res := Run(g, opts); !res.Interrupted {
+				t.Fatal("search completed before its second checkpoint write")
+			}
+			if rs, err := (snapshot.Policy{Dir: dir}).LoadSearch(); err != nil || rs.Phase == nil {
+				t.Fatalf("the kill did not leave an MCMC phase checkpoint (err %v)", err)
+			}
+			ropts := withWorkers(1)
+			ropts.Checkpoint = snapshot.Policy{Dir: dir}
+			resumed, err := Resume(g, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "checkpointed at 4 workers, resumed at 1", want, resumed)
+		})
 	}
 }
 

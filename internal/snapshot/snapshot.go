@@ -35,7 +35,10 @@ const (
 	magic uint32 = 0x5342_5053
 	// Version is the current container version. Readers refuse other
 	// versions with a *VersionError instead of misreading the payload.
-	Version uint32 = 1
+	// Version 2 keys the chain's randomness by (phase, sweep, vertex); a
+	// version 1 checkpoint holds a position in the older per-worker
+	// stream layout, which no longer exists.
+	Version uint32 = 2
 	// headerSize is magic + version + payload length.
 	headerSize = 16
 	// maxPayload bounds a declared payload length; anything larger is a

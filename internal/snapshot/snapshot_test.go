@@ -14,12 +14,10 @@ import (
 func sampleSearch() *SearchState {
 	r := rng.New(42)
 	mrng, _ := r.MarshalBinary()
-	w0, _ := r.Split().MarshalBinary()
-	w1, _ := r.Split().MarshalBinary()
 	return &SearchState{
 		Seed: 42, Algorithm: 2, Beta: 3, Threshold: 1e-4, MaxSweeps: 100,
-		HybridFraction: 0.15, MCMCWorkers: 2, AllowEmptyBlocks: false,
-		Batches: 4, Partition: 0, MergeCandidates: 10, MergeWorkers: 2,
+		HybridFraction: 0.15, AllowEmptyBlocks: false,
+		Batches: 4, MergeCandidates: 10,
 		ReductionFactor: 0.5, GoldenRatio: 0.618, NumVertices: 6,
 		Iter: 3, ResumeCount: 1, Done: false,
 		MasterRNG: mrng,
@@ -30,7 +28,6 @@ func sampleSearch() *SearchState {
 			Membership:     []int32{0, 0, 1, 1, 2, 2},
 			MergeRequested: 3, MergeApplied: 3, MergeProposals: 30,
 			Sweep: 7, PrevMDL: 102.5, InitialS: 110, Proposals: 41, Accepts: 13,
-			WorkerRNGs: [][]byte{w0, w1},
 		},
 	}
 }
@@ -39,7 +36,7 @@ func sampleRank() *RankState {
 	r := rng.New(7)
 	b, _ := r.MarshalBinary()
 	return &RankState{
-		Seed: 7, Rank: 1, Ranks: 2, Mode: 1, Partition: 0,
+		Seed: 7, Rank: 1, Ranks: 2, Mode: 1,
 		Beta: 3, Threshold: 1e-4, MaxSweeps: 100, HybridFraction: 0.15,
 		NumVertices: 8, Blocks: 4, Sweep: 5, PrevMDL: 55.5, InitialS: 60,
 		Proposals: 17, Accepts: 4, ResumeCount: 2,
@@ -63,7 +60,7 @@ func TestSearchStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Seed != want.Seed || got.Algorithm != want.Algorithm || got.Iter != want.Iter ||
-		got.MCMCWorkers != want.MCMCWorkers || got.MergeWorkers != want.MergeWorkers ||
+		got.Batches != want.Batches || got.MergeCandidates != want.MergeCandidates ||
 		got.Done != want.Done || got.ResumeCount != want.ResumeCount {
 		t.Fatalf("scalar mismatch: got %+v", got)
 	}
@@ -82,12 +79,9 @@ func TestSearchStateRoundTrip(t *testing.T) {
 	if p == nil || p.Sweep != 7 || p.Proposals != 41 || p.Accepts != 13 || p.WorkMDL != 101.125 {
 		t.Fatalf("phase mismatch: %+v", p)
 	}
-	if len(p.WorkerRNGs) != 2 {
-		t.Fatalf("worker RNG count %d", len(p.WorkerRNGs))
-	}
 	var rr rng.RNG
-	if err := rr.UnmarshalBinary(p.WorkerRNGs[1]); err != nil {
-		t.Fatalf("worker RNG did not round-trip: %v", err)
+	if err := rr.UnmarshalBinary(got.MasterRNG); err != nil {
+		t.Fatalf("master RNG did not round-trip: %v", err)
 	}
 }
 
@@ -174,6 +168,8 @@ func TestBitFlipDetected(t *testing.T) {
 	}
 }
 
+// TestWrongVersion refuses a newer container and a version 1 one,
+// whose RNG state is a position in the per-worker stream layout.
 func TestWrongVersion(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
@@ -184,14 +180,16 @@ func TestWrongVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(raw[4:], Version+1)
-	_, err = Unwrap(raw)
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("got %v, want *VersionError", err)
-	}
-	if ve.Got != Version+1 || ve.Want != Version {
-		t.Fatalf("VersionError = %+v", ve)
+	for _, v := range []uint32{1, Version + 1} {
+		binary.BigEndian.PutUint32(raw[4:], v)
+		_, err = Unwrap(raw)
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: got %v, want *VersionError", v, err)
+		}
+		if ve.Got != v || ve.Want != Version {
+			t.Fatalf("version %d: VersionError = %+v", v, ve)
+		}
 	}
 }
 

@@ -3,20 +3,23 @@ package snapshot
 // Typed checkpoint payloads. Three kinds exist:
 //
 //   - SearchState: the complete single-node SBP search — golden-section
-//     bracket, engine configuration (with RESOLVED worker counts, so a
-//     resume on a machine with different GOMAXPROCS replays the same
-//     RNG stream layout), outer-iteration counter, the master RNG
-//     position, and optionally a mid-iteration PhaseState captured at
-//     an MCMC sweep boundary.
+//     bracket, the algorithm settings that shape the chain,
+//     outer-iteration counter, the master RNG position, and optionally a
+//     mid-iteration PhaseState captured at an MCMC sweep boundary.
 //   - RankState: one rank of a distributed MCMC phase at a sweep
-//     boundary — the globally agreed membership, the rank's private RNG
-//     position and accumulators, and the cluster geometry needed to
+//     boundary — the globally agreed membership, the master RNG at phase
+//     start, the rank's accumulators, and the cluster geometry needed to
 //     refuse a resume into a differently shaped cluster.
 //   - StreamState: one streaming detector (internal/stream) at a batch
 //     boundary — the full edge history, the fitted partition, the
-//     detector's RNG position and the resolved streaming configuration,
+//     detector's RNG position and the streaming configuration,
 //     everything a restarted process needs to continue the stream
 //     bit-identically to one that was never stopped.
+//
+// Worker counts and the work partition are not part of a search or
+// rank checkpoint: every random draw of the chain comes from a stream
+// keyed by (phase, sweep, vertex) or (phase, block), so the chain does
+// not depend on them and a resume uses its own.
 //
 // All encode with the explicit little-endian field layout of codec.go:
 // a kind tag followed by fixed-width fields and length-prefixed slices.
@@ -41,9 +44,9 @@ type BracketEntry struct {
 
 // PhaseState captures a paused MCMC phase at a sweep boundary: the
 // working blockmodel's membership (consistent — the checkpoint is taken
-// after the sweep's rebuild), the chain's position, and the per-worker
-// RNG streams. The merge phase of the iteration has already run; its
-// stats ride along so the resumed iteration reports them.
+// after the sweep's rebuild) and the chain's position. The merge phase
+// of the iteration has already run; its stats ride along so the resumed
+// iteration reports them.
 type PhaseState struct {
 	FromBlocks   int32 // community count of the bracket state the iteration started from
 	TargetBlocks int32 // merge target of the iteration
@@ -60,32 +63,22 @@ type PhaseState struct {
 	InitialS  float64
 	Proposals int64
 	Accepts   int64
-
-	// WorkerRNGs holds one marshaled rng.RNG per worker (empty for the
-	// serial engine, which draws only from the master stream).
-	WorkerRNGs [][]byte
 }
 
 // SearchState is the complete persisted state of a single-node SBP
 // search.
 type SearchState struct {
 	// Deterministic run identity: seed, engine and every tunable that
-	// influences the RNG consumption order. Worker counts are stored
-	// resolved (after the GOMAXPROCS default was applied) so a resumed
-	// process replays the identical stream layout regardless of its own
-	// core count.
+	// shapes the chain.
 	Seed             uint64
 	Algorithm        int32
 	Beta             float64
 	Threshold        float64
 	MaxSweeps        int32
 	HybridFraction   float64
-	MCMCWorkers      int32
 	AllowEmptyBlocks bool
 	Batches          int32
-	Partition        int32
 	MergeCandidates  int32
-	MergeWorkers     int32
 	ReductionFactor  float64
 	GoldenRatio      float64
 	NumVertices      int64
@@ -95,7 +88,8 @@ type SearchState struct {
 	Done        bool  // search completed; bracket mid is the final result
 
 	// MasterRNG is the marshaled master stream: at the top of iteration
-	// Iter when Phase is nil, or at Phase's sweep boundary otherwise.
+	// Iter when Phase is nil, or at the start of Phase's MCMC phase
+	// otherwise (the resumed phase draws its key from it again).
 	MasterRNG []byte
 
 	// The golden-section bracket (nil entries absent).
@@ -113,7 +107,6 @@ type RankState struct {
 	Rank           int32
 	Ranks          int32
 	Mode           int32
-	Partition      int32
 	Beta           float64
 	Threshold      float64
 	MaxSweeps      int32
@@ -128,7 +121,7 @@ type RankState struct {
 	Accepts     int64
 	ResumeCount int32
 
-	RNG        []byte  // the rank's private stream at the boundary
+	RNG        []byte  // the master stream at phase start
 	Membership []int32 // globally agreed membership at the boundary
 }
 
@@ -143,12 +136,9 @@ func (s *SearchState) Encode() []byte {
 	e.f64(s.Threshold)
 	e.i32(s.MaxSweeps)
 	e.f64(s.HybridFraction)
-	e.i32(s.MCMCWorkers)
 	e.bool(s.AllowEmptyBlocks)
 	e.i32(s.Batches)
-	e.i32(s.Partition)
 	e.i32(s.MergeCandidates)
-	e.i32(s.MergeWorkers)
 	e.f64(s.ReductionFactor)
 	e.f64(s.GoldenRatio)
 	e.i64(s.NumVertices)
@@ -177,10 +167,6 @@ func (s *SearchState) Encode() []byte {
 		e.f64(p.InitialS)
 		e.i64(p.Proposals)
 		e.i64(p.Accepts)
-		e.u32(uint32(len(p.WorkerRNGs)))
-		for _, w := range p.WorkerRNGs {
-			e.bytes(w)
-		}
 	}
 	return e.b
 }
@@ -213,12 +199,9 @@ func DecodeSearch(payload []byte) (*SearchState, error) {
 	s.Threshold = d.f64()
 	s.MaxSweeps = d.i32()
 	s.HybridFraction = d.f64()
-	s.MCMCWorkers = d.i32()
 	s.AllowEmptyBlocks = d.boolean()
 	s.Batches = d.i32()
-	s.Partition = d.i32()
 	s.MergeCandidates = d.i32()
-	s.MergeWorkers = d.i32()
 	s.ReductionFactor = d.f64()
 	s.GoldenRatio = d.f64()
 	s.NumVertices = d.i64()
@@ -244,16 +227,6 @@ func DecodeSearch(payload []byte) (*SearchState, error) {
 		p.InitialS = d.f64()
 		p.Proposals = d.i64()
 		p.Accepts = d.i64()
-		n := int(d.u32())
-		if d.err == nil && n > len(payload) {
-			d.fail("worker RNG count")
-		}
-		if d.err == nil {
-			p.WorkerRNGs = make([][]byte, n)
-			for i := range p.WorkerRNGs {
-				p.WorkerRNGs[i] = d.bytes()
-			}
-		}
 		s.Phase = p
 	}
 	if err := d.done(); err != nil {
@@ -281,7 +254,6 @@ func (s *RankState) Encode() []byte {
 	e.i32(s.Rank)
 	e.i32(s.Ranks)
 	e.i32(s.Mode)
-	e.i32(s.Partition)
 	e.f64(s.Beta)
 	e.f64(s.Threshold)
 	e.i32(s.MaxSweeps)
@@ -314,7 +286,6 @@ func DecodeRank(payload []byte) (*RankState, error) {
 	s.Rank = d.i32()
 	s.Ranks = d.i32()
 	s.Mode = d.i32()
-	s.Partition = d.i32()
 	s.Beta = d.f64()
 	s.Threshold = d.f64()
 	s.MaxSweeps = d.i32()

@@ -1,9 +1,8 @@
 package snapshot
 
 // StreamState is the persisted state of one streaming detector
-// (internal/stream) at a batch boundary. It carries the RESOLVED
-// streaming configuration (worker counts after the GOMAXPROCS default
-// was applied), the full edge history, the fitted partition and the
+// (internal/stream) at a batch boundary. It carries the streaming
+// configuration, the full edge history, the fitted partition and the
 // detector RNG position, so a restarted process continues the stream
 // bit-identically to one that was never stopped.
 //
@@ -12,8 +11,11 @@ package snapshot
 // bit-for-bit (blockmodel.FromCheckpoint enforces this), which doubles
 // as an end-to-end corruption tripwire beyond the container checksum.
 type StreamState struct {
-	// Deterministic stream identity: seed, engine and every tunable
-	// that influences the RNG consumption order of future batches.
+	// Stream identity: seed, engine and every tunable of future
+	// batches. Restore has no other source for the graph's settings, so
+	// the worker widths and partition ride along too, as configured: 0
+	// means the restoring host's GOMAXPROCS, and none of the three
+	// changes the chain.
 	Seed              uint64
 	Algorithm         int32
 	Beta              float64

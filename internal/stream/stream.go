@@ -25,7 +25,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -163,17 +162,8 @@ type Detector struct {
 	snap atomic.Pointer[Snapshot]
 }
 
-// NewDetector returns an empty detector. Worker counts in cfg are
-// resolved immediately (<= 0 becomes GOMAXPROCS), so a checkpoint of
-// this detector replays the identical RNG stream layout on a machine
-// with a different core count.
+// NewDetector returns an empty detector.
 func NewDetector(cfg Config) *Detector {
-	if cfg.MCMC.Workers <= 0 {
-		cfg.MCMC.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Merge.Workers <= 0 {
-		cfg.Merge.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Detector{cfg: cfg, rn: rng.New(cfg.Seed)}
 }
 
@@ -375,9 +365,12 @@ func (d *Detector) Ingest(batch []graph.Edge) error {
 	// blocks, so a partition that collapsed on an early, sparse prefix
 	// of the stream would stay collapsed forever. When the carried
 	// structure is degenerate, escalate to a full search — the new
-	// edges may well have created detectable communities.
+	// edges may well have created detectable communities. The carried
+	// partition is tested, not only the refined one: the merge phase
+	// can leave a few of the new singletons unmerged, and those stray
+	// blocks would hide the collapse.
 	escalated := false
-	if bm.NumNonEmptyBlocks() <= 1 {
+	if prevSnap.Blocks <= 1 || bm.NumNonEmptyBlocks() <= 1 {
 		d.escs++
 		d.fulls++
 		escalated = true
@@ -445,8 +438,8 @@ func (d *Detector) Checkpoint(meta []byte) (*snapshot.StreamState, error) {
 }
 
 // Restore rebuilds a detector from a checkpointed StreamState. The
-// configuration is taken entirely from the state (worker counts were
-// resolved when the checkpoint was written), the fitted model is
+// configuration is taken entirely from the state (worker counts as
+// configured, so 0 means this host's GOMAXPROCS), the fitted model is
 // rebuilt from the edge history and assignment, and the rebuilt MDL
 // must match the stored MDL bit-for-bit — a mismatch is corruption and
 // fails the restore. The restored detector continues the stream

@@ -290,13 +290,7 @@ func TestStreamingFullSearchCounters(t *testing.T) {
 // and recover the communities.
 func TestStreamingEscalationRecoversFromCollapse(t *testing.T) {
 	_, truth, batches := streamedGraph(t, 1, 19)
-	// The async engines split one RNG stream per worker, so the chain
-	// depends on the worker count; the collapse premise was recorded
-	// with one worker, which pins it on any core count.
-	cfg := DefaultConfig()
-	cfg.MCMC.Workers = 1
-	cfg.Merge.Workers = 1
-	d := NewDetector(cfg)
+	d := NewDetector(DefaultConfig())
 	if err := d.Ingest([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}); err != nil {
 		t.Fatal(err)
 	}
