@@ -202,32 +202,3 @@ func TestClampWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestForDynamicClampsWorkers is the regression test for ForDynamic
-// spawning idle goroutines when workers > n: after clamping, a tiny
-// input must still be fully covered and executed by at most n distinct
-// workers.
-func TestForDynamicClampsWorkers(t *testing.T) {
-	const n = 3
-	hit := make([]int32, n)
-	var concurrent, peak atomic.Int32
-	ForDynamic(n, 64, 1, func(i int) {
-		c := concurrent.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		atomic.AddInt32(&hit[i], 1)
-		concurrent.Add(-1)
-	})
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-	if p := peak.Load(); p > n {
-		t.Fatalf("%d concurrent workers for n=%d", p, n)
-	}
-}

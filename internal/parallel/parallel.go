@@ -20,19 +20,6 @@ func DefaultWorkers(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs body(i) for every i in [0, n) using the given number of worker
-// goroutines. Iterations are distributed in contiguous chunks, matching
-// OpenMP's static schedule: worker w owns one contiguous range, so writes
-// to per-index data are race-free without synchronisation. body must not
-// panic; a panic in any worker propagates to the caller.
-func For(n, workers int, body func(i int)) {
-	ForChunked(n, workers, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // clampWorkers caps the worker count at the iteration count so that no
 // idle goroutines are spawned for small inputs, and never returns less
 // than one.
@@ -96,78 +83,4 @@ func forWorkers(workers int, body func(w int)) {
 	if p := panicVal.Load(); p != nil {
 		panic(p)
 	}
-}
-
-// ForDynamic runs body(i) for every i in [0, n) with dynamic (guided)
-// scheduling: workers grab blocks of grain iterations from a shared
-// counter. Use when per-iteration cost is highly skewed (e.g. power-law
-// vertex degrees).
-func ForDynamic(n, workers, grain int, body func(i int)) {
-	workers = clampWorkers(DefaultWorkers(workers), n)
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n <= grain {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicVal atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicVal.Store(p)
-				}
-			}()
-			for {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicVal.Load(); p != nil {
-		panic(p)
-	}
-}
-
-// ReduceFloat64 computes the sum of body(i) over [0, n) in parallel.
-// Each worker accumulates locally; partial sums are combined at the end,
-// so the result is deterministic for a fixed worker count.
-func ReduceFloat64(n, workers int, body func(i int) float64) float64 {
-	workers = clampWorkers(DefaultWorkers(workers), n)
-	if n <= 0 {
-		return 0
-	}
-	partial := make([]float64, workers)
-	ForChunked(n, workers, func(lo, hi, w int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += body(i)
-		}
-		partial[w] = s
-	})
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
 }

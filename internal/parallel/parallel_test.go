@@ -10,7 +10,11 @@ func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 5, 100, 1023} {
 			hit := make([]int32, n)
-			For(n, workers, func(i int) { atomic.AddInt32(&hit[i], 1) })
+			ForChunked(n, workers, func(lo, hi, _ int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hit[i], 1)
+				}
+			})
 			for i, h := range hit {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
@@ -63,60 +67,11 @@ func TestForPanicPropagates(t *testing.T) {
 			t.Fatal("panic in worker not propagated")
 		}
 	}()
-	For(100, 4, func(i int) {
-		if i == 57 {
+	ForChunked(100, 4, func(lo, hi, _ int) {
+		if lo <= 57 && 57 < hi {
 			panic("boom")
 		}
 	})
-}
-
-func TestForDynamicCoversAllIndices(t *testing.T) {
-	for _, grain := range []int{1, 7, 64} {
-		const n = 1000
-		hit := make([]int32, n)
-		ForDynamic(n, 4, grain, func(i int) { atomic.AddInt32(&hit[i], 1) })
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("grain=%d: index %d visited %d times", grain, i, h)
-			}
-		}
-	}
-}
-
-func TestForDynamicPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic in dynamic worker not propagated")
-		}
-	}()
-	ForDynamic(1000, 4, 8, func(i int) {
-		if i == 999 {
-			panic("boom")
-		}
-	})
-}
-
-func TestReduceFloat64(t *testing.T) {
-	got := ReduceFloat64(1000, 4, func(i int) float64 { return float64(i) })
-	want := 999.0 * 1000 / 2
-	if got != want {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
-}
-
-func TestReduceFloat64Deterministic(t *testing.T) {
-	body := func(i int) float64 { return 1.0 / float64(i+1) }
-	a := ReduceFloat64(10000, 4, body)
-	b := ReduceFloat64(10000, 4, body)
-	if a != b {
-		t.Fatalf("reduction not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	if got := ReduceFloat64(0, 4, func(int) float64 { return 1 }); got != 0 {
-		t.Fatalf("empty reduce = %v", got)
-	}
 }
 
 func TestDefaultWorkers(t *testing.T) {
