@@ -3,11 +3,16 @@ package blockmodel
 import "math"
 
 // This file implements the incremental ΔMDL computations at the core of
-// every SBP variant. Moving vertex v from block r to block s (or merging
-// block r into s) only changes rows r, s and columns r, s of the block
-// matrix plus the four block degrees, so the likelihood delta is computed
-// over that restricted set — O(deg(v) + nnz(rows/cols r,s)) instead of
-// O(nnz(M)).
+// every SBP variant. With f(x) = x·ln x the log-likelihood splits into
+// cell and block-degree terms,
+//
+//	−L = −Σ_rs f(M_rs) + Σ_r f(d_out,r) + Σ_s f(d_in,s),
+//
+// because row r of M sums to d_out,r and column s to d_in,s. Moving
+// vertex v from block r to block s (or merging block r into s) changes
+// four block degrees and the cells listed in its edit list, so ΔS is a
+// sum over that list: O(distinct neighbour blocks of v) for a move and
+// O(nnz(row, col r)) for a merge, with no work per untouched entry.
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
 // of the whole system, so all intermediates live in a reusable Scratch
@@ -21,7 +26,11 @@ import "math"
 // Scratch.
 type Scratch struct {
 	out, in                blockVec // vertex→block edge tallies
-	rowR, rowS, colR, colS blockVec // restricted matrix view
+	rowR, rowS, colR, colS blockVec // sparse-mode lookup tables of rows/cols r, s
+	dense                  []int64  // M's backing array in dense mode, else nil
+	c                      int      // block count of the loaded cells
+	r, s                   int32    // the blocks whose cells are loaded
+	cornerD                [4]int64 // summed edits of M[r][r], M[r][s], M[s][r], M[s][s]
 	edits                  []edit
 	wFwd, wBwd             blockVec // Hastings neighbour weights
 }
@@ -29,7 +38,7 @@ type Scratch struct {
 // NewScratch returns an empty Scratch ready for use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// resetViews prepares the restricted-view containers for block count c.
+// resetViews prepares the lookup tables for block count c.
 func (sc *Scratch) resetViews(c int) {
 	sc.rowR.reset(c)
 	sc.rowS.reset(c)
@@ -143,20 +152,17 @@ func (bm *Blockmodel) mergeEdits(r, s int32, sc *Scratch) {
 	})
 }
 
-// loadRestricted snapshots rows/cols r and s of bm.M into sc's view.
-// Both storage modes bypass the per-entry callback/touch protocol: the
-// sparse mode bulk-copies the sorted nonzero slices, the dense mode
-// scans the backing array directly. Entry order (ascending index) is
-// identical to RowNZ/ColNZ — the deterministic-accumulation guarantee
-// the entropy sums below rely on.
-func (bm *Blockmodel) loadRestricted(r, s int32, sc *Scratch) {
+// loadCells prepares sc to read the cells of M that a move or merge
+// between blocks r and s touches, each of which has its row or its
+// column in {r, s}. Dense mode reads the backing array in place; sparse
+// mode bulk-loads rows r, s and columns r, s into O(1) lookup tables.
+// The tables are reset in dense mode too, so a Scratch that served an
+// early iteration at C ≈ N does not keep its O(N) arrays.
+func (bm *Blockmodel) loadCells(r, s int32, sc *Scratch) {
+	sc.r, sc.s, sc.c = r, s, bm.C
 	sc.resetViews(bm.C)
-	if data, ok := bm.M.DenseData(); ok {
-		c := bm.C
-		loadDenseRow(&sc.rowR, data[int(r)*c:int(r)*c+c])
-		loadDenseRow(&sc.rowS, data[int(s)*c:int(s)*c+c])
-		loadDenseCol(&sc.colR, data, c, int(r))
-		loadDenseCol(&sc.colS, data, c, int(s))
+	var dense bool
+	if sc.dense, dense = bm.M.DenseData(); dense {
 		return
 	}
 	k, v, _ := bm.M.RowView(int(r))
@@ -169,152 +175,91 @@ func (bm *Blockmodel) loadRestricted(r, s int32, sc *Scratch) {
 	sc.colS.bulkLoad(k, v)
 }
 
-// loadDenseRow fills a freshly reset bv from a dense length-C row.
-func loadDenseRow(bv *blockVec, row []int64) {
-	g := bv.gen
-	for t, v := range row {
-		if v != 0 {
-			bv.val[t] = v
-			bv.stamp[t] = g
-			bv.keys = append(bv.keys, int32(t))
-		}
+// cell returns M[i][j] for a loaded cell: i or j must be r or s.
+func (sc *Scratch) cell(i, j int32) int64 {
+	if sc.dense != nil {
+		return sc.dense[int(i)*sc.c+int(j)]
 	}
+	switch {
+	case i == sc.r:
+		return sc.rowR.get(j)
+	case i == sc.s:
+		return sc.rowS.get(j)
+	case j == sc.r:
+		return sc.colR.get(i)
+	}
+	return sc.colS.get(i)
 }
 
-// loadDenseCol fills a freshly reset bv from column s of the row-major
-// dense array.
-func loadDenseCol(bv *blockVec, data []int64, c, s int) {
-	g := bv.gen
-	for t, i := 0, s; t < c; t, i = t+1, i+c {
-		if v := data[i]; v != 0 {
-			bv.val[t] = v
-			bv.stamp[t] = g
-			bv.keys = append(bv.keys, int32(t))
-		}
+// corner returns the slot of cell (i, j) in sc.cornerD — 0 for (r, r),
+// 1 for (r, s), 2 for (s, r), 3 for (s, s) — or -1 when i or j lies
+// outside {r, s}.
+func (sc *Scratch) corner(i, j int32) int {
+	if (i != sc.r && i != sc.s) || (j != sc.r && j != sc.s) {
+		return -1
 	}
+	k := 0
+	if i == sc.s {
+		k = 2
+	}
+	if j == sc.s {
+		k++
+	}
+	return k
 }
 
-// applyEdits applies sc.edits to the restricted view. Each edit is
-// applied to every container that covers its coordinate, keeping corner
-// entries (e.g. M[r][s], present in rowR and colS) consistent.
-func (sc *Scratch) applyEdits(r, s int32) {
+// deltaS returns ΔS for applying sc.edits to the loaded cells while
+// blocks r and s trade kOut out-degree and kIn in-degree (what leaves r
+// arrives at s). With f(x) = x·ln x it is
+//
+//	Σ_{4 changed degrees} [f(d′) − f(d)] − Σ_{changed cells} [f(m′) − f(m)].
+//
+// A cell outside the 2×2 corner of {r, s} occurs at most once in the
+// edit list. A corner cell can be hit by several edits (out-edges into r
+// or s, in-edges from r or s, self-loops), so its deltas are summed into
+// sc.cornerD before f is taken.
+func (bm *Blockmodel) deltaS(kOut, kIn int64, sc *Scratch) float64 {
+	sc.cornerD = [4]int64{}
+	var cells float64
 	for _, e := range sc.edits {
-		if e.i == r {
-			sc.rowR.add(e.j, e.delta)
-		}
-		if e.i == s {
-			sc.rowS.add(e.j, e.delta)
-		}
-		if e.j == r {
-			sc.colR.add(e.i, e.delta)
-		}
-		if e.j == s {
-			sc.colS.add(e.i, e.delta)
-		}
-	}
-}
-
-// entropyTerm is −m·ln(m / (dOut·dIn)), the description-length
-// contribution of one block-matrix entry; 0 when m is 0.
-func entropyTerm(m, dOut, dIn int64) float64 {
-	if m <= 0 {
-		return 0
-	}
-	return -float64(m) * math.Log(float64(m)/(float64(dOut)*float64(dIn)))
-}
-
-// degreePatch is a copy-free view of a degree vector with the two
-// moved-block entries overridden; it avoids allocating O(C) per
-// proposal.
-type degreePatch struct {
-	base   []int64
-	a, b   int32
-	av, bv int64
-}
-
-func (p degreePatch) at(i int32) int64 {
-	switch i {
-	case p.a:
-		return p.av
-	case p.b:
-		return p.bv
-	}
-	return p.base[i]
-}
-
-// restrictedEntropyBase sums the description-length contributions of
-// the restricted set in sc under the model's unmodified block degrees,
-// counting corner entries exactly once: rows r and s in full, columns
-// r and s excluding rows r and s. The loops walk the blockVec arrays
-// directly — no callback, no stamp checks, no patch branches — but add
-// terms in exactly the order iterate would, so the float accumulation
-// is bit-identical to the pre-optimization kernel.
-func (sc *Scratch) restrictedEntropyBase(r, s int32, dOut, dIn []int64) float64 {
-	var h float64
-	dor, dos := dOut[r], dOut[s]
-	for _, t := range sc.rowR.keys {
-		if m := sc.rowR.val[t]; m != 0 {
-			h += entropyTerm(m, dor, dIn[t])
-		}
-	}
-	for _, t := range sc.rowS.keys {
-		if m := sc.rowS.val[t]; m != 0 {
-			h += entropyTerm(m, dos, dIn[t])
-		}
-	}
-	dir, dis := dIn[r], dIn[s]
-	for _, t := range sc.colR.keys {
-		if t == r || t == s {
+		if k := sc.corner(e.i, e.j); k >= 0 {
+			sc.cornerD[k] += e.delta
 			continue
 		}
-		if m := sc.colR.val[t]; m != 0 {
-			h += entropyTerm(m, dOut[t], dir)
+		m := sc.cell(e.i, e.j)
+		cells += xlogx(m+e.delta) - xlogx(m)
+	}
+	r, s := sc.r, sc.s
+	for k, ij := range [4][2]int32{{r, r}, {r, s}, {s, r}, {s, s}} {
+		if d := sc.cornerD[k]; d != 0 {
+			m := sc.cell(ij[0], ij[1])
+			cells += xlogx(m+d) - xlogx(m)
 		}
 	}
-	for _, t := range sc.colS.keys {
-		if t == r || t == s {
-			continue
-		}
-		if m := sc.colS.val[t]; m != 0 {
-			h += entropyTerm(m, dOut[t], dis)
-		}
-	}
-	return h
+	degrees := xlogx(bm.DOut[r]-kOut) - xlogx(bm.DOut[r]) +
+		xlogx(bm.DOut[s]+kOut) - xlogx(bm.DOut[s]) +
+		xlogx(bm.DIn[r]-kIn) - xlogx(bm.DIn[r]) +
+		xlogx(bm.DIn[s]+kIn) - xlogx(bm.DIn[s])
+	return degrees - cells
 }
 
-// restrictedEntropyPatched is restrictedEntropyBase with the r/s
-// entries of both degree vectors overridden (the post-move degrees).
-func (sc *Scratch) restrictedEntropyPatched(r, s int32, dOut, dIn degreePatch) float64 {
-	var h float64
-	dor, dos := dOut.at(r), dOut.at(s)
-	for _, t := range sc.rowR.keys {
-		if m := sc.rowR.val[t]; m != 0 {
-			h += entropyTerm(m, dor, dIn.at(t))
-		}
+// xlogxTable holds f(x) = x·ln x for the counts below its length, filled
+// with xlogx's own fallback expression, so the table changes no value.
+// 4096 entries (32 KB) cover nearly every cell and most block degrees; a
+// larger table was no faster.
+var xlogxTable = func() (t [4096]float64) {
+	for x := 1; x < len(t); x++ {
+		t[x] = float64(x) * math.Log(float64(x))
 	}
-	for _, t := range sc.rowS.keys {
-		if m := sc.rowS.val[t]; m != 0 {
-			h += entropyTerm(m, dos, dIn.at(t))
-		}
+	return t
+}()
+
+// xlogx returns x·ln x for a count x ≥ 0, with f(0) = 0.
+func xlogx(x int64) float64 {
+	if uint64(x) < uint64(len(xlogxTable)) {
+		return xlogxTable[x]
 	}
-	dir, dis := dIn.at(r), dIn.at(s)
-	for _, t := range sc.colR.keys {
-		if t == r || t == s {
-			continue
-		}
-		if m := sc.colR.val[t]; m != 0 {
-			h += entropyTerm(m, dOut.at(t), dir)
-		}
-	}
-	for _, t := range sc.colS.keys {
-		if t == r || t == s {
-			continue
-		}
-		if m := sc.colS.val[t]; m != 0 {
-			h += entropyTerm(m, dOut.at(t), dis)
-		}
-	}
-	return h
+	return float64(x) * math.Log(float64(x))
 }
 
 // MoveDelta holds the result of evaluating a proposed vertex move. It
@@ -330,10 +275,10 @@ type MoveDelta struct {
 }
 
 // EvalMove computes the likelihood ΔS for moving v from its current block
-// (under membership b) to block s, without mutating the model. b is the
-// membership vector the caller is working with — bm.Assignment for the
-// serial engine, a private copy for the asynchronous engines (proposals
-// then use a bounded-staleness view exactly as in the paper).
+// (under membership b) to block s, without mutating the model. b must be
+// the membership M was counted from: every engine passes bm.Assignment,
+// and the asynchronous engines record accepted moves in a private copy
+// until the next rebuild.
 func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta {
 	r := b[v]
 	md := MoveDelta{V: v, From: r, To: s, sc: sc}
@@ -345,7 +290,7 @@ func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta
 		// self-loop, which would count twice) touches one neighbour block,
 		// so the edit list is two entries and no per-block tally is
 		// needed. The entries match what CountVertex+moveEdits would
-		// produce, so the entropy sums below are bit-identical.
+		// produce, so ΔS is bit-identical to the general path's.
 		var t int32
 		sc.edits = sc.edits[:0]
 		if out := bm.G.OutNeighbors(v); len(out) == 1 {
@@ -361,15 +306,8 @@ func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta
 		md.counts = bm.CountVertex(v, b, sc)
 		sc.moveEdits(md.counts, r, s)
 	}
-	bm.loadRestricted(r, s, sc)
-	before := sc.restrictedEntropyBase(r, s, bm.DOut, bm.DIn)
-	sc.applyEdits(r, s)
-	// Updated degrees: only blocks r and s change.
-	kOut, kIn := md.counts.KOut, md.counts.KIn
-	newDOut := degreePatch{base: bm.DOut, a: r, av: bm.DOut[r] - kOut, b: s, bv: bm.DOut[s] + kOut}
-	newDIn := degreePatch{base: bm.DIn, a: r, av: bm.DIn[r] - kIn, b: s, bv: bm.DIn[s] + kIn}
-	after := sc.restrictedEntropyPatched(r, s, newDOut, newDIn)
-	md.DeltaS = after - before
+	bm.loadCells(r, s, sc)
+	md.DeltaS = bm.deltaS(md.counts.KOut, md.counts.KIn, sc)
 	md.EmptiesSrc = bm.Sizes[r] == 1
 	return md
 }
@@ -406,11 +344,6 @@ func (bm *Blockmodel) EvalMerge(r, s int32, sc *Scratch) float64 {
 		return 0
 	}
 	bm.mergeEdits(r, s, sc)
-	bm.loadRestricted(r, s, sc)
-	before := sc.restrictedEntropyBase(r, s, bm.DOut, bm.DIn)
-	sc.applyEdits(r, s)
-	newDOut := degreePatch{base: bm.DOut, a: r, av: 0, b: s, bv: bm.DOut[s] + bm.DOut[r]}
-	newDIn := degreePatch{base: bm.DIn, a: r, av: 0, b: s, bv: bm.DIn[s] + bm.DIn[r]}
-	after := sc.restrictedEntropyPatched(r, s, newDOut, newDIn)
-	return after - before
+	bm.loadCells(r, s, sc)
+	return bm.deltaS(bm.DOut[r], bm.DIn[r], sc)
 }

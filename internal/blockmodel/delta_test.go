@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // likelihoodEntropy returns the full description-length entropy −L(G|B),
@@ -16,39 +17,76 @@ func likelihoodEntropy(bm *Blockmodel) float64 {
 	return -bm.LogLikelihood()
 }
 
-// TestEvalMoveMatchesRecompute is the central correctness property: for
-// random graphs, assignments and moves, the incremental ΔS must equal
-// the difference of full recomputations to floating-point accuracy.
-func TestEvalMoveMatchesRecompute(t *testing.T) {
-	r := rng.New(1234)
-	sc := NewScratch()
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(func(seed uint16) bool {
-		rr := rng.New(uint64(seed))
-		n := rr.Intn(20) + 4
-		e := rr.Intn(80) + 4
-		c := rr.Intn(5) + 2
+// deltaModel draws a random multigraph and membership for the delta
+// property tests. In dense storage the vertices spread over C ∈ [minC,
+// minC+4] blocks. In sparse storage C exceeds sparse.DenseThreshold and
+// the vertices are packed into 2–5 blocks scattered over the index
+// range, so neighbour blocks land on r and s and the corner cells of the
+// edit list are exercised.
+func deltaModel(t *testing.T, rr *rng.RNG, sparseMode bool, minN, minE, minC int) *Blockmodel {
+	t.Helper()
+	n := rr.Intn(20) + minN
+	e := rr.Intn(100) + minE
+	c := rr.Intn(5) + minC
+	if !sparseMode {
 		g, assign := randomGraph(rr, n, e, c)
-		bm, err := FromAssignment(g, assign, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := r.Intn(n)
-		s := int32(r.Intn(c))
-		md := bm.EvalMove(v, s, bm.Assignment, sc)
-		before := likelihoodEntropy(bm)
+		return mustFromAssignment(t, g, assign, c)
+	}
+	c += sparse.DenseThreshold
+	used := rr.Perm(c)[:rr.Intn(4)+2]
+	g, assign := randomGraph(rr, n, e, len(used))
+	for v, b := range assign {
+		assign[v] = int32(used[b])
+	}
+	bm := mustFromAssignment(t, g, assign, c)
+	if bm.M.IsDense() {
+		t.Fatalf("C=%d model uses dense storage", c)
+	}
+	return bm
+}
 
-		// Recompute from scratch with the move applied.
-		moved := append([]int32(nil), assign...)
-		moved[v] = s
-		after, err := FromAssignment(g, moved, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := likelihoodEntropy(after) - before
-		return math.Abs(md.DeltaS-want) < 1e-9*(1+math.Abs(want))
-	}, cfg); err != nil {
-		t.Fatal(err)
+// pickBlock returns a target block for a move or merge: in sparse
+// storage half the draws come from the occupied blocks, which would
+// otherwise be hit rarely among C > 256.
+func pickBlock(rr *rng.RNG, bm *Blockmodel) int32 {
+	if !bm.M.IsDense() && rr.Intn(2) == 0 {
+		return bm.Assignment[rr.Intn(len(bm.Assignment))]
+	}
+	return int32(rr.Intn(bm.C))
+}
+
+// recomputeEntropy returns −L(G|B) for membership b, counted from
+// scratch: the ground truth for incremental deltas.
+func recomputeEntropy(t *testing.T, bm *Blockmodel, b []int32) float64 {
+	t.Helper()
+	return likelihoodEntropy(mustFromAssignment(t, bm.G, b, bm.C))
+}
+
+// TestEvalMoveMatchesRecompute is the central correctness property: for
+// random graphs, assignments and moves, in both storage modes, the
+// incremental ΔS must equal the difference of full recomputations to
+// floating-point accuracy.
+func TestEvalMoveMatchesRecompute(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		sparse bool
+	}{{"dense", false}, {"sparse", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			sc := NewScratch()
+			if err := quick.Check(func(seed uint16) bool {
+				rr := rng.New(uint64(seed))
+				bm := deltaModel(t, rr, mode.sparse, 4, 4, 2)
+				v := rr.Intn(bm.G.NumVertices())
+				s := pickBlock(rr, bm)
+				md := bm.EvalMove(v, s, bm.Assignment, sc)
+				moved := append([]int32(nil), bm.Assignment...)
+				moved[v] = s
+				want := recomputeEntropy(t, bm, moved) - likelihoodEntropy(bm)
+				return math.Abs(md.DeltaS-want) < 1e-9*(1+math.Abs(want))
+			}, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -148,42 +186,107 @@ func TestSelfLoopMove(t *testing.T) {
 }
 
 // TestEvalMergeMatchesRecompute checks the merge delta against full
-// recomputation over random models.
+// recomputation over random models in both storage modes.
 func TestEvalMergeMatchesRecompute(t *testing.T) {
-	sc := NewScratch()
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(func(seed uint16) bool {
-		rr := rng.New(uint64(seed))
-		n := rr.Intn(20) + 6
-		e := rr.Intn(100) + 5
-		c := rr.Intn(5) + 3
-		g, assign := randomGraph(rr, n, e, c)
-		bm, err := FromAssignment(g, assign, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := int32(rr.Intn(c))
-		s := int32(rr.Intn(c))
-		if r == s {
-			return true
-		}
-		got := bm.EvalMerge(r, s, sc)
-		before := likelihoodEntropy(bm)
+	for _, mode := range []struct {
+		name   string
+		sparse bool
+	}{{"dense", false}, {"sparse", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			sc := NewScratch()
+			if err := quick.Check(func(seed uint16) bool {
+				rr := rng.New(uint64(seed))
+				bm := deltaModel(t, rr, mode.sparse, 6, 5, 3)
+				r, s := pickBlock(rr, bm), pickBlock(rr, bm)
+				if r == s {
+					return true
+				}
+				got := bm.EvalMerge(r, s, sc)
+				merged := append([]int32(nil), bm.Assignment...)
+				for v := range merged {
+					if merged[v] == r {
+						merged[v] = s
+					}
+				}
+				want := recomputeEntropy(t, bm, merged) - likelihoodEntropy(bm)
+				return math.Abs(got-want) < 1e-9*(1+math.Abs(want))
+			}, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
 
-		merged := append([]int32(nil), assign...)
-		for v := range merged {
-			if merged[v] == r {
-				merged[v] = s
+// TestDeltaLargeCounts drives cells and block degrees past the x·ln x
+// table, in both storage modes: block a holds 30 of 40 vertices and
+// 5000 edges among them, so M[a][a] and a's degrees exceed 4096. Every
+// move and merge between the three occupied blocks must match the
+// recount, and each move's Hastings correction must invert the reverse
+// move's.
+func TestDeltaLargeCounts(t *testing.T) {
+	rr := rng.New(21)
+	const n = 40
+	var edges []graph.Edge
+	for i := 0; i < 5000; i++ {
+		edges = append(edges, graph.Edge{Src: int32(rr.Intn(30)), Dst: int32(rr.Intn(30))})
+	}
+	for i := 0; i < 1000; i++ {
+		edges = append(edges, graph.Edge{Src: int32(rr.Intn(n)), Dst: int32(rr.Intn(n))})
+	}
+	g := graph.MustNew(n, edges)
+	for _, c := range []int{4, sparse.DenseThreshold + 44} {
+		blocks := []int32{1, int32(c) / 2, int32(c) - 1} // a, b, c
+		assign := make([]int32, n)
+		for v := range assign {
+			switch {
+			case v < 30:
+				assign[v] = blocks[0]
+			case v < 35:
+				assign[v] = blocks[1]
+			default:
+				assign[v] = blocks[2]
 			}
 		}
-		after, err := FromAssignment(g, merged, c, 1)
-		if err != nil {
-			t.Fatal(err)
+		bm := mustFromAssignment(t, g, assign, c)
+		if got := bm.M.Get(int(blocks[0]), int(blocks[0])); got < int64(len(xlogxTable)) {
+			t.Fatalf("C=%d: M[a][a] = %d does not pass the table", c, got)
 		}
-		want := likelihoodEntropy(after) - before
-		return math.Abs(got-want) < 1e-9*(1+math.Abs(want))
-	}, cfg); err != nil {
-		t.Fatal(err)
+		sc := NewScratch()
+		for _, r := range blocks {
+			for _, s := range blocks {
+				if r == s {
+					continue
+				}
+				merged := append([]int32(nil), assign...)
+				for v := range merged {
+					if merged[v] == r {
+						merged[v] = s
+					}
+				}
+				want := recomputeEntropy(t, bm, merged) - likelihoodEntropy(bm)
+				if got := bm.EvalMerge(r, s, sc); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+					t.Errorf("C=%d merge %d→%d: ΔS=%g want %g", c, r, s, got, want)
+				}
+			}
+		}
+		for _, v := range []int{0, 7, 29, 30, 36} {
+			for _, s := range blocks {
+				r := bm.Assignment[v]
+				if s == r {
+					continue
+				}
+				md := bm.EvalMove(v, s, bm.Assignment, sc)
+				checkDeltaFresh(t, bm, md)
+				h1 := bm.HastingsCorrection(&md)
+				bm.ApplyMove(md)
+				back := bm.EvalMove(v, r, bm.Assignment, sc)
+				h2 := bm.HastingsCorrection(&back)
+				bm.ApplyMove(back)
+				if math.Abs(h1*h2-1) > 1e-12 {
+					t.Errorf("C=%d v=%d %d→%d: h·h_reverse = %g, want 1", c, v, r, s, h1*h2)
+				}
+			}
+		}
 	}
 }
 

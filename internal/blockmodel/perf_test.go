@@ -29,7 +29,7 @@ func ringGraph(n int) *graph.Graph {
 // TestEvalMoveSteadyStateZeroAllocs is the acceptance gate for the
 // proposal kernel: once the Scratch arenas have reached steady-state
 // capacity, a full EvalMove + HastingsCorrection must not touch the
-// heap, in either block-matrix storage mode.
+// heap, in either block-matrix storage mode, and neither must EvalMerge.
 func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 	n := 600
 	g := ringGraph(n)
@@ -61,6 +61,17 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 			eval() // warm the arenas to steady-state capacity
 			if allocs := testing.AllocsPerRun(50, eval); allocs != 0 {
 				t.Fatalf("steady-state EvalMove+Hastings allocates %.1f times per run, want 0", allocs)
+			}
+			merge := func() {
+				for i := 0; i < 32; i++ {
+					if d := bm.EvalMerge(int32(rn.Intn(bm.C)), int32(rn.Intn(bm.C)), sc); math.IsNaN(d) {
+						t.Fatal("NaN merge delta")
+					}
+				}
+			}
+			merge()
+			if allocs := testing.AllocsPerRun(50, merge); allocs != 0 {
+				t.Fatalf("steady-state EvalMerge allocates %.1f times per run, want 0", allocs)
 			}
 		})
 	}

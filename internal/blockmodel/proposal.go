@@ -134,9 +134,9 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 //
 // where t ranges over the blocks of v's neighbours, w_t is the number of
 // edges between v and block t, and the backward probability uses the
-// post-move matrix and degrees. Post-move entries of row r and column r
-// are read straight from the Scratch's restricted view, which EvalMove
-// left in its post-edit state — no edit-list folding and no binary
+// post-move matrix and degrees. Every entry read lies in row or column r
+// or s, so it comes from the cells EvalMove loaded, with the move's
+// edits folded in for the post-move ones (movedCells) — no binary
 // searches into M. Degree-1 vertices short-circuit to single-term
 // probability sums.
 func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
@@ -157,11 +157,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 			return 1
 		}
 		t := vc.deg1T
-		mts := bm.M.Get(int(t), int(s))
-		mst := bm.M.Get(int(s), int(t))
-		pFwd := (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
-		mtr := sc.colR.get(t) // M'[t][r]
-		mrt := sc.rowR.get(t) // M'[r][t]
+		pFwd := (float64(sc.cell(t, s)+sc.cell(s, t)) + 1) / (float64(bm.DTot[t]) + cf)
+		mtr, mrt := sc.movedCells(t, vc)
 		dt := bm.DTot[t]
 		switch t {
 		case r:
@@ -214,8 +211,8 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		if w == 0 {
 			continue
 		}
-		mts := bm.M.Get(int(t), int(s))
-		mst := bm.M.Get(int(s), int(t))
+		mts := sc.cell(t, s)
+		mst := sc.cell(s, t)
 		pFwd += (float64(w) / kv) * (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
 	}
 	for _, t := range wBwd.keys {
@@ -223,8 +220,7 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		if w == 0 {
 			continue
 		}
-		mtr := sc.colR.get(t) // M'[t][r]: post-edit restricted view
-		mrt := sc.rowR.get(t) // M'[r][t]
+		mtr, mrt := sc.movedCells(t, vc)
 		dt := bm.DTot[t]
 		switch t {
 		case r:
@@ -238,4 +234,17 @@ func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
 		return 1
 	}
 	return pBwd / pFwd
+}
+
+// movedCells returns the post-move cells M′[t][r] and M′[r][t] of the
+// move with counts vc evaluated on sc. For t in {r, s} both are corner
+// cells, which take the summed corner edits; otherwise the only edits of
+// these cells remove v's in-edges from t and its out-edges to t.
+func (sc *Scratch) movedCells(t int32, vc VertexCounts) (mtr, mrt int64) {
+	r := sc.r
+	mtr, mrt = sc.cell(t, r), sc.cell(r, t)
+	if k := sc.corner(t, r); k >= 0 {
+		return mtr + sc.cornerD[k], mrt + sc.cornerD[sc.corner(r, t)]
+	}
+	return mtr - vc.InFrom(t), mrt - vc.OutTo(t)
 }

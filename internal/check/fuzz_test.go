@@ -14,13 +14,15 @@ import (
 
 	"repro/internal/blockmodel"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 // fuzzModel decodes a byte string into a small blockmodel plus the
 // remaining op bytes. Layout:
 //
 //	data[0] → vertex count n in [3, 12]
-//	data[1] → block count c in [2, 5]
+//	data[1] → block count c in [2, 5], plus sparse.DenseThreshold when
+//	          bit 0x80 is set, so the block matrix uses sparse storage
 //	data[2] → edge count target (capped by remaining bytes)
 //	2 bytes per edge (src, dst — self-loops and multi-edges allowed)
 //	n bytes of membership
@@ -33,6 +35,9 @@ func fuzzModel(data []byte) (bm *blockmodel.Blockmodel, ops []byte, ok bool) {
 	}
 	n := 3 + int(data[0]%10)
 	c := 2 + int(data[1]%4)
+	if data[1]&0x80 != 0 {
+		c += sparse.DenseThreshold
+	}
 	ne := int(data[2]) % (4 * n)
 	pos := 3
 	edges := make([]graph.Edge, 0, ne)

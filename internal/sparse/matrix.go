@@ -9,14 +9,16 @@
 // storage is far faster. The Matrix therefore switches representation:
 // sorted nonzero lists per row and per column above DenseThreshold
 // blocks, one dense array below. Both row and column iteration are
-// O(nonzeros) because the MCMC delta computation must walk row r and
-// column r of the current and proposed blocks.
+// O(nonzeros) because the proposal distribution samples from row t and
+// column t, a merge's edit list walks row r and column r, and move
+// evaluation loads rows and columns r, s as lookup tables.
 //
 // Iteration order is ascending index in BOTH modes. This is a hard
 // guarantee, not an implementation detail: float accumulations over
-// RowNZ/ColNZ (log-likelihood, ΔMDL) must associate identically across
-// runs and across checkpoint/resume for same-seed results to be
-// bit-identical. A hash-map representation would randomize the order.
+// RowNZ/ColNZ (log-likelihood, a merge's ΔMDL) must associate
+// identically across runs and across checkpoint/resume for same-seed
+// results to be bit-identical. A hash-map representation would
+// randomize the order.
 package sparse
 
 import (
