@@ -529,8 +529,6 @@ func (s *Server) runWorker(g *graphState) {
 		if !s.drainLoop(g) {
 			return // queue closed and fully drained
 		}
-		g.degraded.Store(true)
-		g.workerRestarts.Inc()
 		time.Sleep(backoff)
 		backoff *= 2
 		if backoff > workerRestartMax {
@@ -542,12 +540,17 @@ func (s *Server) runWorker(g *graphState) {
 // drainLoop consumes the queue until it is closed (false) or a batch
 // panics the detector (true). The panicked batch's waiter is always
 // released with an error — close(job.done) is the last statement of
-// the loop body, so the recover path can never double-close it.
+// the loop body, so the recover path can never double-close it. The
+// graph is marked degraded and the restart counted before the waiter
+// is released, so a caller that saw the contained error never queries
+// the suspect snapshot.
 func (s *Server) drainLoop(g *graphState) (panicked bool) {
 	var job *ingestJob
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
+			g.degraded.Store(true)
+			g.workerRestarts.Inc()
 			if job != nil {
 				job.err = fmt.Errorf("serve: ingest worker panic: %v", r)
 				g.ingestErrors.Inc()
