@@ -301,7 +301,7 @@ func BenchmarkInfluenceExact(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := influence.Exact(bm, influence.DefaultConfig()); err != nil {
+				if _, err := influence.Exact(bm); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -326,7 +326,7 @@ func BenchmarkInfluenceSampled(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := influence.Sampled(bm, influence.DefaultConfig(), 4, 4, 2, r); err != nil {
+		if _, err := influence.Sampled(bm, 4, 4, 2, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -546,12 +546,12 @@ func BenchmarkBaselines(b *testing.B) {
 }
 
 // BenchmarkImbalancePowerLaw measures the load balance of the
-// asynchronous pass on a power-law graph under both partition
-// strategies. Two metrics per strategy: the deterministic weight
-// imbalance of the partition itself (heaviest range's total degree over
-// the mean) and the measured per-sweep worker-time imbalance from the
-// sweep records. The degree-weighted partitioner must report a lower
-// weight imbalance than static chunking — that is the point of it.
+// asynchronous pass on a power-law graph: the deterministic weight
+// imbalance (heaviest range's total degree over the mean) of the
+// degree-weighted split the pass uses and of an equal-count split, and
+// the measured per-sweep worker-time imbalance of the pass from the
+// sweep records. The degree-weighted split must report a lower weight
+// imbalance than equal-count chunking — that is the point of it.
 func BenchmarkImbalancePowerLaw(b *testing.B) {
 	g, truth, err := gen.Generate(gen.Spec{
 		Name: "plaw", Vertices: 4000, Communities: 8, MinDegree: 1, MaxDegree: 1200,
@@ -585,7 +585,8 @@ func BenchmarkImbalancePowerLaw(b *testing.B) {
 	staticImb := imbOf(parallel.StaticRanges(g.NumVertices(), imbWorkers))
 	degreeImb := imbOf(parallel.BalancedRanges(g.NumVertices(), imbWorkers, weight))
 
-	run := func(p mcmc.Partition) float64 {
+	var timeDegree float64
+	for i := 0; i < b.N; i++ {
 		bm, err := blockmodel.FromAssignment(g, truth, int(c), 1)
 		if err != nil {
 			b.Fatal(err)
@@ -594,18 +595,10 @@ func BenchmarkImbalancePowerLaw(b *testing.B) {
 		cfg.MaxSweeps = 6
 		cfg.Threshold = 0
 		cfg.Workers = imbWorkers
-		cfg.Partition = p
-		st := mcmc.Run(bm, mcmc.AsyncGibbs, cfg, rng.New(7))
-		return st.MeanImbalance()
-	}
-	var timeStatic, timeDegree float64
-	for i := 0; i < b.N; i++ {
-		timeStatic = run(mcmc.PartitionStatic)
-		timeDegree = run(mcmc.PartitionDegree)
+		timeDegree = mcmc.Run(bm, mcmc.AsyncGibbs, cfg, rng.New(7)).MeanImbalance()
 	}
 	b.ReportMetric(staticImb, "weight_imb_static")
 	b.ReportMetric(degreeImb, "weight_imb_degree")
-	b.ReportMetric(timeStatic, "time_imb_static")
 	b.ReportMetric(timeDegree, "time_imb_degree")
 	if degreeImb >= staticImb {
 		b.Fatalf("degree partition weight imbalance %.3f not below static %.3f", degreeImb, staticImb)

@@ -8,7 +8,7 @@
 //	dsbp -rank 1 -peers 127.0.0.1:9401,127.0.0.1:9402 -graph g.tsv -communities 8
 //
 // Every rank loads the same graph file and derives the same initial
-// membership and per-rank RNG streams from -seed, so the run is
+// membership and the same chain randomness from -seed, so the run is
 // deterministic: all ranks converge to bit-identical membership and
 // MDL, and the result matches the in-process simulation at the same
 // seed. Ranks may start in any order; connection establishment retries
@@ -31,12 +31,14 @@ import (
 	distnet "repro/internal/dist/net"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/mcmc"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
 func main() {
+	def := mcmc.DefaultConfig()
 	var (
 		rank        = flag.Int("rank", 0, "this process's rank id")
 		ranks       = flag.Int("ranks", 0, "cluster size (default: number of -peers entries)")
@@ -44,12 +46,11 @@ func main() {
 		graphPath   = flag.String("graph", "", "edge-list or MatrixMarket graph file (required)")
 		communities = flag.Int("communities", 8, "number of blocks for the phase")
 		mode        = flag.String("mode", "hybrid", "distributed variant: async (D-A-SBP) or hybrid (D-H-SBP)")
-		partition   = flag.String("partition", "degree", "vertex split across ranks: degree or uniform")
 		seed        = flag.Uint64("seed", 1, "shared cluster seed (must match on every rank)")
-		maxSweeps   = flag.Int("max-sweeps", 100, "sweep cap x")
-		threshold   = flag.Float64("threshold", 1e-4, "convergence threshold t")
-		beta        = flag.Float64("beta", 3, "acceptance inverse temperature")
-		hybridFrac  = flag.Float64("hybrid-fraction", 0.15, "V* share for hybrid mode")
+		maxSweeps   = flag.Int("max-sweeps", def.MaxSweeps, "sweep cap x")
+		threshold   = flag.Float64("threshold", def.Threshold, "convergence threshold t")
+		beta        = flag.Float64("beta", def.Beta, "acceptance inverse temperature")
+		hybridFrac  = flag.Float64("hybrid-fraction", def.HybridFraction, "V* share for hybrid mode")
 		ioTimeout   = flag.Duration("io-timeout", 30*time.Second, "per-message send/recv deadline")
 		acceptWait  = flag.Duration("accept-wait", 30*time.Second, "how long to wait for peers to boot")
 		verbose     = flag.Bool("v", false, "log connection and phase progress to stderr")
@@ -72,7 +73,7 @@ func main() {
 	flag.Parse()
 	a := rankArgs{
 		rank: *rank, ranks: *ranks, peers: *peers, graphPath: *graphPath,
-		communities: *communities, mode: *mode, partition: *partition,
+		communities: *communities, mode: *mode,
 		seed: *seed, maxSweeps: *maxSweeps, threshold: *threshold, beta: *beta,
 		hybridFrac: *hybridFrac, ioTimeout: *ioTimeout, acceptWait: *acceptWait,
 		verbose: *verbose, obsAddr: *obsAddr, tracePath: *tracePath,
@@ -110,7 +111,7 @@ type rankArgs struct {
 	rank, ranks           int
 	peers, graphPath      string
 	communities           int
-	mode, partition       string
+	mode                  string
 	seed                  uint64
 	maxSweeps             int
 	threshold, beta       float64
@@ -161,15 +162,6 @@ func run(a rankArgs) error {
 		m = dist.ModeHybrid
 	default:
 		return fmt.Errorf("unknown -mode %q (want async or hybrid)", a.mode)
-	}
-	var p dist.Partition
-	switch a.partition {
-	case "degree":
-		p = dist.PartitionDegree
-	case "uniform":
-		p = dist.PartitionUniform
-	default:
-		return fmt.Errorf("unknown -partition %q (want degree or uniform)", a.partition)
 	}
 
 	// The fault plan and the status heartbeat are the supervised-child
@@ -304,7 +296,6 @@ func run(a rankArgs) error {
 		Threshold:      a.threshold,
 		MaxSweeps:      a.maxSweeps,
 		HybridFraction: a.hybridFrac,
-		Partition:      p,
 		Seed:           a.seed,
 		Obs:            telemetry,
 		Ctx:            ctx,
@@ -364,9 +355,9 @@ func run(a rankArgs) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rank=%d mode=%s ranks=%d partition=%s sweeps=%d converged=%t interrupted=%t proposals=%d accepts=%d "+
+	fmt.Printf("rank=%d mode=%s ranks=%d sweeps=%d converged=%t interrupted=%t proposals=%d accepts=%d "+
 		"blocks=%d sent_bytes=%d comm_ms=%.1f initial_mdl=%.6f final_mdl=%.6f\n",
-		a.rank, m, a.ranks, p, st.Sweeps, st.Converged, st.Interrupted, st.Proposals, st.Accepts,
+		a.rank, m, a.ranks, st.Sweeps, st.Converged, st.Interrupted, st.Proposals, st.Accepts,
 		bm.NumNonEmptyBlocks(), st.SentBytes, float64(st.CommTime.Microseconds())/1000,
 		st.InitialS, st.FinalS)
 	if a.outPath != "" {

@@ -102,7 +102,6 @@ func (r *execRunner) childArgs(rank, gen int, resume bool) []string {
 		"-graph", a.graphPath,
 		"-communities", strconv.Itoa(a.communities),
 		"-mode", a.mode,
-		"-partition", a.partition,
 		"-seed", strconv.FormatUint(a.seed, 10),
 		"-max-sweeps", strconv.Itoa(a.maxSweeps),
 		"-threshold", fmt.Sprint(a.threshold),

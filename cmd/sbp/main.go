@@ -57,12 +57,11 @@ func main() {
 		runs      = flag.Int("runs", 1, "number of runs; the lowest-MDL result is kept")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "parallel width (0 = GOMAXPROCS)")
-		fraction  = flag.Float64("hybrid-fraction", 0.15, "share of high-degree vertices processed serially (hsbp)")
+		fraction  = flag.Float64("hybrid-fraction", mcmc.DefaultConfig().HybridFraction, "share of high-degree vertices processed serially (hsbp)")
 		outPath   = flag.String("out", "", "write 'vertex community' lines to this file")
 		truthPath = flag.String("truth", "", "ground-truth assignment file; NMI is reported when set")
 		verbose   = flag.Bool("v", false, "print per-iteration progress")
 		vv        = flag.Bool("vv", false, "print a per-sweep table for every iteration (implies -v)")
-		partition = flag.String("partition", "degree", "async work partition: degree (balance total degree) or static (equal vertex counts)")
 		verify    = flag.Bool("verify", false, "cross-check every incremental ΔMDL/Hastings value and all blockmodel invariants against the dense oracle (orders of magnitude slower; small graphs only)")
 		profile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		obsAddr   = flag.String("obs", "", "serve live telemetry on this address (e.g. localhost:6060): Prometheus /metrics, /debug/vars, /debug/pprof")
@@ -142,10 +141,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, err := parsePartition(*partition)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var sampleOpts sample.Options
 	if *sampleFraction != 0 {
 		kind, err := sample.ParseKind(*sampleKind)
@@ -185,7 +180,6 @@ func main() {
 		opts.MCMC.Workers = *workers
 		opts.Merge.Workers = *workers
 		opts.MCMC.HybridFraction = *fraction
-		opts.MCMC.Partition = part
 		opts.Sample = sampleOpts
 		opts.Verify = *verify
 		opts.Obs = telemetry
@@ -338,17 +332,6 @@ func fmtNS(ns float64) string {
 		return d.Round(10 * time.Microsecond).String()
 	default:
 		return d.Round(time.Microsecond).String()
-	}
-}
-
-func parsePartition(name string) (mcmc.Partition, error) {
-	switch name {
-	case "degree", "balanced":
-		return mcmc.PartitionDegree, nil
-	case "static", "chunked":
-		return mcmc.PartitionStatic, nil
-	default:
-		return 0, fmt.Errorf("unknown partition %q (want degree or static)", name)
 	}
 }
 

@@ -225,24 +225,6 @@ func TestSingleRankCluster(t *testing.T) {
 	})
 }
 
-func TestPartitionBounds(t *testing.T) {
-	covered := make([]bool, 103)
-	for r := 0; r < 7; r++ {
-		lo, hi := PartitionBounds(103, 7, r)
-		for v := lo; v < hi; v++ {
-			if covered[v] {
-				t.Fatalf("vertex %d owned twice", v)
-			}
-			covered[v] = true
-		}
-	}
-	for v, ok := range covered {
-		if !ok {
-			t.Fatalf("vertex %d unowned", v)
-		}
-	}
-}
-
 // TestChanTransportCloseUnblocksRank: Close on any endpoint instance
 // of a rank fails that rank's blocked and future transport calls — the
 // in-process kill switch the supervisor tests rely on.

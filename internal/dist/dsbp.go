@@ -55,40 +55,13 @@ func (m Mode) String() string {
 	return "D-A-SBP"
 }
 
-// Partition selects how vertices are assigned to ranks.
-type Partition int
-
-const (
-	// PartitionDegree (the default) gives each rank a contiguous range
-	// of approximately equal total degree via parallel.BalancedRanges.
-	// An equal-count split places all hubs on low ranks for the common
-	// case of degree-sorted graph files; proposal cost is proportional
-	// to degree, so that skew serialises the whole bulk-synchronous
-	// sweep behind the hub-owning ranks.
-	PartitionDegree Partition = iota
-	// PartitionUniform is the legacy equal-vertex-count split.
-	PartitionUniform
-)
-
-func (p Partition) String() string {
-	switch p {
-	case PartitionDegree:
-		return "degree"
-	case PartitionUniform:
-		return "uniform"
-	default:
-		return fmt.Sprintf("Partition(%d)", int(p))
-	}
-}
-
 // Config holds the distributed-phase tunables.
 type Config struct {
-	Ranks          int       // cluster size (>= 1)
-	Beta           float64   // acceptance inverse temperature
-	Threshold      float64   // convergence threshold t
-	MaxSweeps      int       // sweep cap x
-	HybridFraction float64   // V* share for ModeHybrid
-	Partition      Partition // vertex-to-rank split (degree-balanced default)
+	Ranks          int     // cluster size (>= 1)
+	Beta           float64 // acceptance inverse temperature
+	Threshold      float64 // convergence threshold t
+	MaxSweeps      int     // sweep cap x
+	HybridFraction float64 // V* share for ModeHybrid
 	Seed           uint64
 
 	// WrapTransport, when non-nil, interposes on each rank's transport
@@ -132,7 +105,11 @@ type Config struct {
 
 // DefaultConfig mirrors the shared-memory defaults on 4 ranks.
 func DefaultConfig() Config {
-	return Config{Ranks: 4, Beta: 3, Threshold: 1e-4, MaxSweeps: 100, HybridFraction: 0.15, Seed: 1}
+	m := mcmc.DefaultConfig()
+	return Config{
+		Ranks: 4, Beta: m.Beta, Threshold: m.Threshold, MaxSweeps: m.MaxSweeps,
+		HybridFraction: m.HybridFraction, Seed: 1,
+	}
 }
 
 // PhaseStats reports one distributed MCMC phase.
@@ -185,19 +162,16 @@ type RankStats struct {
 }
 
 // PartitionRanges returns exactly `ranks` contiguous vertex ranges
-// covering [0, V) under the given policy. Every rank (on every node)
-// computes the same split deterministically from the shared immutable
-// graph. When ranks > V the trailing ranges are empty.
-func PartitionRanges(g *graph.Graph, ranks int, p Partition) []parallel.Range {
+// covering [0, V), of about equal total degree. Every rank (on every
+// node) computes the same split deterministically from the shared
+// immutable graph. Proposal cost is proportional to degree, and an
+// equal-count split places all hubs on low ranks for the common case of
+// degree-sorted graph files, serialising the whole bulk-synchronous
+// sweep behind the hub-owning ranks. When ranks > V the trailing ranges
+// are empty.
+func PartitionRanges(g *graph.Graph, ranks int) []parallel.Range {
 	n := g.NumVertices()
 	out := make([]parallel.Range, 0, ranks)
-	if p == PartitionUniform {
-		for r := 0; r < ranks; r++ {
-			lo, hi := PartitionBounds(n, ranks, r)
-			out = append(out, parallel.Range{Lo: lo, Hi: hi})
-		}
-		return out
-	}
 	w := ranks
 	if w > n {
 		w = n
@@ -312,7 +286,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 
 	// Every rank derives the same split and the same master stream from
 	// the shared seed, and draws the phase key from it as mcmc.Run does.
-	ranges := PartitionRanges(g, ranks, cfg.Partition)
+	ranges := PartitionRanges(g, ranks)
 	lo, hi := ranges[r].Lo, ranges[r].Hi
 	master := rng.New(cfg.Seed)
 	sc := blockmodel.NewScratch()
@@ -405,7 +379,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 	key := master.Uint64()
 	serial, async := rankLists(replica, mode, cfg.HybridFraction, r, ranges[r])
 	serialBlocks := make([]int32, len(serial))
-	plan := mcmc.NewPassPlan(replica, async, 1, mcmc.PartitionStatic)
+	plan := mcmc.NewPassPlan(replica, async, 1)
 	pcfg := mcmc.Config{Beta: cfg.Beta}
 	scratches := []*blockmodel.Scratch{sc}
 	next := make([]int32, n)
@@ -533,7 +507,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		if stopProtocol {
 			boundary := sweep + 1
 			var stop int64
-			if ctxCancelled(cfg.Ctx) {
+			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 				stop = 1
 			}
 			commSpan = sweepSpan.Child("comm", obs.F("op", "allreduce_stop"))
@@ -570,19 +544,6 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 	comm.Barrier()
 	st.CommTime = comm.CommTime()
 	return st, nil
-}
-
-// ctxCancelled polls a possibly-nil context without blocking.
-func ctxCancelled(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
 }
 
 // maxInt64 is the allreduce op for the stop protocol: any rank voting
@@ -626,13 +587,6 @@ func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, ow
 		}
 	}
 	return serial, async
-}
-
-// PartitionBounds returns the contiguous vertex range an equal-count
-// split gives rank r of `ranks` over n vertices — the PartitionUniform
-// policy. Exposed for tests and tooling.
-func PartitionBounds(n, ranks, r int) (lo, hi int) {
-	return r * n / ranks, (r + 1) * n / ranks
 }
 
 // Describe returns a short human-readable summary of a phase result.

@@ -153,9 +153,6 @@ func TestModeString(t *testing.T) {
 	if ModeAsync.String() != "D-A-SBP" || ModeHybrid.String() != "D-H-SBP" {
 		t.Fatal("mode names changed")
 	}
-	if PartitionDegree.String() != "degree" || PartitionUniform.String() != "uniform" {
-		t.Fatal("partition names changed")
-	}
 }
 
 // degreeSortedGraph returns a power-law graph whose vertex ids are in
@@ -183,7 +180,7 @@ func degreeSortedGraph(t *testing.T) *graph.Graph {
 	return graph.MustNew(g.NumVertices(), edges)
 }
 
-// Regression for the uniform vertex split: on a degree-sorted graph it
+// Regression for the equal-count vertex split: on a degree-sorted graph it
 // concentrates all hubs on low ranks, serialising the bulk-synchronous
 // sweep behind them. The degree-aware split must keep every rank's
 // degree load within 1.5x of the ideal share.
@@ -204,7 +201,7 @@ func TestPartitionRangesDegreeBalanced(t *testing.T) {
 		return
 	}
 
-	balanced := PartitionRanges(g, ranks, PartitionDegree)
+	balanced := PartitionRanges(g, ranks)
 	if len(balanced) != ranks {
 		t.Fatalf("%d ranges for %d ranks", len(balanced), ranks)
 	}
@@ -226,18 +223,18 @@ func TestPartitionRangesDegreeBalanced(t *testing.T) {
 	if imb := float64(maxBal) / ideal; imb > 1.5 {
 		t.Fatalf("degree-aware split imbalance %.2f > 1.5", imb)
 	}
-	// And the uniform split really is the bug being fixed: on this
+	// And the equal-count split really is the bug being fixed: on this
 	// layout its heaviest rank carries well above the balanced load.
-	maxUni, _ := load(PartitionRanges(g, ranks, PartitionUniform))
+	maxUni, _ := load(parallel.StaticRanges(g.NumVertices(), ranks))
 	if maxUni <= maxBal {
-		t.Fatalf("uniform split (max %d) not worse than balanced (max %d) on degree-sorted layout", maxUni, maxBal)
+		t.Fatalf("equal-count split (max %d) not worse than balanced (max %d) on degree-sorted layout", maxUni, maxBal)
 	}
 }
 
 func TestPartitionRangesMoreRanksThanVertices(t *testing.T) {
 	g := degreeSortedGraph(t)
 	n := g.NumVertices()
-	rs := PartitionRanges(g, n+5, PartitionDegree)
+	rs := PartitionRanges(g, n+5)
 	if len(rs) != n+5 {
 		t.Fatalf("%d ranges", len(rs))
 	}
@@ -252,22 +249,6 @@ func TestPartitionRangesMoreRanksThanVertices(t *testing.T) {
 		if r.Len() != 0 {
 			t.Fatalf("trailing range %v not empty", r)
 		}
-	}
-}
-
-func TestDistributedUniformPartitionStillWorks(t *testing.T) {
-	bm, _ := distModel(t, 19)
-	cfg := testCfg(4)
-	cfg.Partition = PartitionUniform
-	st, err := RunMCMCPhase(bm, ModeAsync, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FinalS >= st.InitialS {
-		t.Fatalf("MDL did not improve: %v -> %v", st.InitialS, st.FinalS)
-	}
-	if err := bm.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -380,7 +361,7 @@ func TestHybridRankListsMatchInProcessVStar(t *testing.T) {
 	}
 
 	visits := make([]int, g.NumVertices())
-	for r, owned := range PartitionRanges(g, 2, PartitionDegree) {
+	for r, owned := range PartitionRanges(g, 2) {
 		serial, async := rankLists(bm, ModeHybrid, 0.15, r, owned)
 		if r == 0 && len(serial) != 2 {
 			t.Fatalf("rank 0 serial pass visits %d vertices, want 2", len(serial))

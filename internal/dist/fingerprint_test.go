@@ -40,8 +40,8 @@ func fingerprintOf(st PhaseStats, membership []int32) fingerprint {
 }
 
 // TestDeterminismDistFingerprints pins D-A-SBP at 1-3 ranks and D-H-SBP
-// at 2-3 ranks, under both vertex-to-rank partitions, against
-// testdata/fingerprints.json. Run with -update to re-record them.
+// at 2-3 ranks against testdata/fingerprints.json. Run with -update to
+// re-record them.
 func TestDeterminismDistFingerprints(t *testing.T) {
 	cases := []struct {
 		mode  Mode
@@ -53,16 +53,12 @@ func TestDeterminismDistFingerprints(t *testing.T) {
 	got := map[string]fingerprint{}
 	for _, c := range cases {
 		for _, ranks := range c.ranks {
-			for _, p := range []Partition{PartitionDegree, PartitionUniform} {
-				bm, _ := distModel(t, 61)
-				cfg := testCfg(ranks)
-				cfg.Partition = p
-				st, err := RunMCMCPhase(bm, c.mode, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[fmt.Sprintf("%s/ranks=%d/%s", c.mode, ranks, p)] = fingerprintOf(st, bm.Assignment)
+			bm, _ := distModel(t, 61)
+			st, err := RunMCMCPhase(bm, c.mode, testCfg(ranks))
+			if err != nil {
+				t.Fatal(err)
 			}
+			got[fmt.Sprintf("%s/ranks=%d", c.mode, ranks)] = fingerprintOf(st, bm.Assignment)
 		}
 	}
 

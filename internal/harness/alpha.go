@@ -46,7 +46,7 @@ func (c Config) FigAlpha() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		alpha, err := influence.Sampled(anchor, influence.DefaultConfig(), 8, 8, 3, rn)
+		alpha, err := influence.Sampled(anchor, 8, 8, 3, rn)
 		if err != nil {
 			return nil, err
 		}

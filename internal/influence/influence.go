@@ -25,20 +25,14 @@ import (
 	"repro/internal/rng"
 )
 
-// Config controls the influence computation.
-type Config struct {
-	// Beta is the inverse temperature of the conditional distributions;
-	// matches the MCMC acceptance temperature.
-	Beta float64
-}
-
-// DefaultConfig returns β = 3, matching the MCMC engines.
-func DefaultConfig() Config { return Config{Beta: 3} }
+// beta is the inverse temperature of the conditional distributions;
+// it matches the MCMC acceptance temperature.
+const beta = 3
 
 // conditional returns π_v(·|X) as a dense distribution over blocks,
 // computed from the move deltas of v under the blockmodel's current
 // assignment.
-func conditional(bm *blockmodel.Blockmodel, v int, beta float64, sc *blockmodel.Scratch) []float64 {
+func conditional(bm *blockmodel.Blockmodel, v int, sc *blockmodel.Scratch) []float64 {
 	c := bm.C
 	logp := make([]float64, c)
 	maxLog := math.Inf(-1)
@@ -80,7 +74,7 @@ func tv(p, q []float64) float64 {
 // maximises the row sums over i. The cost is Θ(V²·C³) conditional-
 // distribution work — the intractability the paper reports. bm is
 // mutated temporarily but restored before returning.
-func Exact(bm *blockmodel.Blockmodel, cfg Config) (float64, error) {
+func Exact(bm *blockmodel.Blockmodel) (float64, error) {
 	v := bm.G.NumVertices()
 	c := bm.C
 	if v > 2048 {
@@ -99,7 +93,7 @@ func Exact(bm *blockmodel.Blockmodel, cfg Config) (float64, error) {
 			orig := work.Assignment[j]
 			for a := 0; a < c; a++ {
 				setAssignment(work, j, int32(a), sc)
-				dists[a] = conditional(work, i, cfg.Beta, sc)
+				dists[a] = conditional(work, i, sc)
 			}
 			setAssignment(work, j, orig, sc)
 			var maxTV float64
@@ -126,7 +120,7 @@ func Exact(bm *blockmodel.Blockmodel, cfg Config) (float64, error) {
 // easy-to-compute heuristic predictor of A-SBP convergence the paper
 // proposes as future work; it is an under-estimate that preserves
 // ordering between graphs.
-func Sampled(bm *blockmodel.Blockmodel, cfg Config, vertexSamples, pairsPerVertex, valueSamples int, rn *rng.RNG) (float64, error) {
+func Sampled(bm *blockmodel.Blockmodel, vertexSamples, pairsPerVertex, valueSamples int, rn *rng.RNG) (float64, error) {
 	v := bm.G.NumVertices()
 	if v < 2 {
 		return 0, fmt.Errorf("influence: need at least 2 vertices")
@@ -150,7 +144,7 @@ func Sampled(bm *blockmodel.Blockmodel, cfg Config, vertexSamples, pairsPerVerte
 			orig := work.Assignment[j]
 			for a := 0; a < valueSamples; a++ {
 				setAssignment(work, j, int32(rn.Intn(c)), sc)
-				dists[a] = conditional(work, i, cfg.Beta, sc)
+				dists[a] = conditional(work, i, sc)
 			}
 			setAssignment(work, j, orig, sc)
 			var maxTV float64

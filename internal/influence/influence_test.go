@@ -27,7 +27,7 @@ func tinyModel(t *testing.T, ratio float64, seed uint64) *blockmodel.Blockmodel 
 
 func TestExactNonNegative(t *testing.T) {
 	bm := tinyModel(t, 4, 1)
-	alpha, err := Exact(bm, DefaultConfig())
+	alpha, err := Exact(bm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExactNonNegative(t *testing.T) {
 func TestExactRestoresModel(t *testing.T) {
 	bm := tinyModel(t, 4, 2)
 	before := append([]int32(nil), bm.Assignment...)
-	if _, err := Exact(bm, DefaultConfig()); err != nil {
+	if _, err := Exact(bm); err != nil {
 		t.Fatal(err)
 	}
 	for v := range before {
@@ -59,14 +59,14 @@ func TestExactRefusesLargeGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exact(bm, DefaultConfig()); err == nil {
+	if _, err := Exact(bm); err == nil {
 		t.Fatal("exact influence on V=3000 accepted — the paper's point is that this is intractable")
 	}
 }
 
 func TestSampledNonNegativeAndBounded(t *testing.T) {
 	bm := tinyModel(t, 4, 3)
-	alpha, err := Sampled(bm, DefaultConfig(), 5, 5, 2, rng.New(1))
+	alpha, err := Sampled(bm, 5, 5, 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,11 @@ func TestSampledUnderestimatesExact(t *testing.T) {
 	// with the same anchor state it cannot exceed the exact α by more
 	// than sampling noise in the row scaling. Check the typical case.
 	bm := tinyModel(t, 4, 4)
-	cfg := DefaultConfig()
-	exact, err := Exact(bm, cfg)
+	exact, err := Exact(bm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Sampled(bm, cfg, 8, 8, 2, rng.New(2))
+	sampled, err := Sampled(bm, 8, 8, 2, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +95,10 @@ func TestSampledUnderestimatesExact(t *testing.T) {
 
 func TestSampledArgsValidated(t *testing.T) {
 	bm := tinyModel(t, 4, 5)
-	if _, err := Sampled(bm, DefaultConfig(), 0, 5, 2, rng.New(1)); err == nil {
+	if _, err := Sampled(bm, 0, 5, 2, rng.New(1)); err == nil {
 		t.Fatal("zero vertex samples accepted")
 	}
-	if _, err := Sampled(bm, DefaultConfig(), 5, 5, 1, rng.New(1)); err == nil {
+	if _, err := Sampled(bm, 5, 5, 1, rng.New(1)); err == nil {
 		t.Fatal("single value sample accepted (needs pairs)")
 	}
 }
@@ -110,12 +109,11 @@ func TestStrongerCouplingRaisesInfluence(t *testing.T) {
 	// a near-structureless sparse graph. Use matched sizes.
 	weak := tinyModel(t, 1, 7)
 	strong := tinyModel(t, 12, 7)
-	cfg := DefaultConfig()
-	aWeak, err := Exact(weak, cfg)
+	aWeak, err := Exact(weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aStrong, err := Exact(strong, cfg)
+	aStrong, err := Exact(strong)
 	if err != nil {
 		t.Fatal(err)
 	}

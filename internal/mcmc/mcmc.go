@@ -56,36 +56,6 @@ const (
 // Config.Batches is unset.
 const DefaultBatches = 4
 
-// Partition selects how the asynchronous passes distribute vertices
-// over workers.
-type Partition int
-
-const (
-	// PartitionDegree (the default) splits the vertex set into
-	// contiguous ranges of approximately equal total degree, so that on
-	// power-law graphs every worker does about the same amount of
-	// proposal work. Same race-freedom guarantee as static chunking:
-	// each worker owns one contiguous range.
-	PartitionDegree Partition = iota
-	// PartitionStatic splits the vertex set into ranges of equal vertex
-	// count (the pre-balancing behaviour); on skewed degree
-	// distributions the worker that draws the high-degree head becomes
-	// the pass's critical path.
-	PartitionStatic
-)
-
-// String names the partition strategy.
-func (p Partition) String() string {
-	switch p {
-	case PartitionDegree:
-		return "degree"
-	case PartitionStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("Partition(%d)", int(p))
-	}
-}
-
 // String returns the paper's name for the algorithm.
 func (a Algorithm) String() string {
 	switch a {
@@ -100,6 +70,13 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+}
+
+// Valid reports whether a names one of the four engines. Run panics
+// on any other value, so an Algorithm read from outside the program is
+// checked with Valid first.
+func (a Algorithm) Valid() bool {
+	return a >= SerialMH && a <= BatchedGibbs
 }
 
 // Config holds the tunables of the MCMC phase. The zero value is not
@@ -126,21 +103,10 @@ type Config struct {
 	// its own stream, so the width never changes the chain.
 	Workers int
 
-	// AllowEmptyBlocks permits vertex moves that empty their source
-	// block. SBP keeps the block count fixed during the MCMC phase, so
-	// this defaults to false.
-	AllowEmptyBlocks bool
-
 	// Batches is the number of rebuild batches per sweep for the
 	// BatchedGibbs engine (<= 0 selects DefaultBatches). Ignored by the
 	// other engines.
 	Batches int
-
-	// Partition selects the work distribution of the asynchronous
-	// passes; the zero value is PartitionDegree. Ignored by SerialMH.
-	// Like Workers, it changes only which worker proposes a vertex,
-	// never the chain.
-	Partition Partition
 
 	// Obs attaches live telemetry (internal/obs): engine-labeled
 	// counters, gauges and histograms in Obs.Metrics, and a phase span
@@ -171,8 +137,8 @@ type Config struct {
 	// Resume, when non-nil, continues a phase from a checkpoint instead
 	// of starting fresh: the blockmodel must already hold the boundary
 	// state and the master RNG must already be restored to the record's
-	// MasterRNG, its phase-start position. Workers and Partition may
-	// differ from the interrupted run's.
+	// MasterRNG, its phase-start position. Workers may differ from the
+	// interrupted run's.
 	Resume *Resume
 
 	// Verify enables oracle cross-checking (internal/check): every
@@ -313,7 +279,7 @@ func (r *SweepRecord) finish() {
 // and returns phase statistics. rn is the master RNG: the phase draws
 // one key from it, and vertex v's proposal in sweep t draws from
 // rng.At(key, t, v), so the chain depends on rn and cfg's algorithm
-// settings but not on Workers or Partition.
+// settings but not on Workers.
 func Run(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rng.RNG) Stats {
 	sched := newSchedule(bm, alg, cfg)
 	po := newPhaseObs(cfg.Obs, alg, sched.workers, bm.MDL(), bm.NumNonEmptyBlocks())

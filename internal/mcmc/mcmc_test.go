@@ -141,7 +141,8 @@ func TestMaxSweepsRespected(t *testing.T) {
 }
 
 func TestEmptyBlockGuard(t *testing.T) {
-	// With AllowEmptyBlocks=false (default), no block may become empty.
+	// The MCMC phase keeps the block count fixed: no block may become
+	// empty.
 	bm, _ := structured(t, 25)
 	cfg := testConfig()
 	Run(bm, SerialMH, cfg, rng.New(7))

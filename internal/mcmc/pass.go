@@ -20,29 +20,23 @@ type PassPlan struct {
 }
 
 // NewPassPlan partitions the vertex set for the given number of
-// workers. PartitionDegree weights vertex v by Degree(v)+1 — proposal
-// evaluation walks v's adjacency, so total degree is the dominant cost
-// and the +1 models the fixed per-vertex overhead that keeps
-// zero-degree vertices from being free — and PartitionStatic keeps the
-// equal-count chunks of the original implementation. With one worker
-// both give a single range in list order.
-func NewPassPlan(bm *blockmodel.Blockmodel, vertices []int32, workers int, strategy Partition) PassPlan {
+// workers into contiguous ranges of about equal weight, vertex v
+// weighing Degree(v)+1: proposal evaluation walks v's adjacency, so
+// total degree is the dominant cost, and the +1 models the fixed
+// per-vertex overhead that keeps zero-degree vertices from being free.
+// With one worker the plan is a single range in list order.
+func NewPassPlan(bm *blockmodel.Blockmodel, vertices []int32, workers int) PassPlan {
 	n := bm.G.NumVertices()
 	if vertices != nil {
 		n = len(vertices)
 	}
-	var ranges []parallel.Range
-	if strategy == PartitionStatic {
-		ranges = parallel.StaticRanges(n, workers)
-	} else {
-		ranges = parallel.BalancedRanges(n, workers, func(i int) int64 {
-			v := i
-			if vertices != nil {
-				v = int(vertices[i])
-			}
-			return int64(bm.G.Degree(v)) + 1
-		})
-	}
+	ranges := parallel.BalancedRanges(n, workers, func(i int) int64 {
+		v := i
+		if vertices != nil {
+			v = int(vertices[i])
+		}
+		return int64(bm.G.Degree(v)) + 1
+	})
 	return PassPlan{vertices: vertices, ranges: ranges}
 }
 
@@ -151,7 +145,8 @@ func step(bm *blockmodel.Blockmodel, v int, cfg *Config, key uint64, sweep int, 
 		// on divergence propagates out of the worker pool to the caller.
 		check.MustMoveDelta(bm, bm.Assignment, v, s, md.DeltaS)
 	}
-	if md.EmptiesSrc && !cfg.AllowEmptyBlocks {
+	if md.EmptiesSrc {
+		// SBP keeps the block count fixed during the MCMC phase.
 		return md, true, false
 	}
 	h := bm.HastingsCorrection(&md)

@@ -57,7 +57,7 @@ func newSchedule(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config) schedule 
 		panic(fmt.Sprintf("mcmc: unknown algorithm %d", int(alg)))
 	}
 	for _, g := range groups {
-		s.plans = append(s.plans, NewPassPlan(bm, g, s.workers, cfg.Partition))
+		s.plans = append(s.plans, NewPassPlan(bm, g, s.workers))
 	}
 	return s
 }

@@ -85,7 +85,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	if numToMerge <= 0 || bm.C < 2 {
 		return st
 	}
-	if cancelled(cfg.Ctx) {
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 		st.Interrupted = true
 		return st
 	}
@@ -141,7 +141,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	// boundary. The proposal work above only drew the key from rn — a
 	// resumed phase draws it again from the restored master and replays
 	// identically.
-	if cancelled(cfg.Ctx) {
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 		st.Interrupted = true
 		return st
 	}
@@ -200,19 +200,6 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 			obs.F("blocks", bm.NumNonEmptyBlocks()))
 	}
 	return st
-}
-
-// cancelled polls a possibly-nil context without blocking.
-func cancelled(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
 }
 
 // unionFind is a plain disjoint-set forest with path halving. merge makes

@@ -15,10 +15,11 @@ import (
 // deterministic configuration — seed, engine, every tunable that shapes
 // the chain — is taken from the checkpoint, not from opts, so the
 // continuation is bit-identical to the uninterrupted run; opts
-// contributes the rest: the worker widths and partition (which never
-// change the chain), Ctx, Obs, Progress, Verify and the Checkpoint
-// policy itself. It fails with the typed snapshot errors on damaged
-// checkpoints and with fs.ErrNotExist when none has been written yet.
+// contributes the rest: the worker widths (which never change the
+// chain), Ctx, Obs, Progress, Verify and the Checkpoint policy itself.
+// It fails with the typed snapshot errors on damaged checkpoints, an
+// unknown engine included, and with fs.ErrNotExist when none has been
+// written yet.
 func Resume(g *graph.Graph, opts Options) (*Result, error) {
 	if !opts.Checkpoint.Enabled() {
 		return nil, fmt.Errorf("sbp: Resume requires Checkpoint.Dir")
@@ -31,16 +32,16 @@ func Resume(g *graph.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("sbp: checkpoint is for %d vertices, graph has %d", rs.NumVertices, g.NumVertices())
 	}
 	opts.Algorithm = mcmc.Algorithm(rs.Algorithm)
+	if !opts.Algorithm.Valid() {
+		return nil, fmt.Errorf("sbp: checkpoint algorithm %d: %w", rs.Algorithm, snapshot.ErrCorrupt)
+	}
 	opts.Seed = rs.Seed
 	opts.MCMC.Beta = rs.Beta
 	opts.MCMC.Threshold = rs.Threshold
 	opts.MCMC.MaxSweeps = int(rs.MaxSweeps)
 	opts.MCMC.HybridFraction = rs.HybridFraction
-	opts.MCMC.AllowEmptyBlocks = rs.AllowEmptyBlocks
 	opts.MCMC.Batches = int(rs.Batches)
 	opts.Merge.Candidates = int(rs.MergeCandidates)
-	opts.ReductionFactor = rs.ReductionFactor
-	opts.GoldenRatio = rs.GoldenRatio
 	opts.Checkpoint.NoteResume()
 	return run(g, opts, rs)
 }
@@ -71,21 +72,18 @@ func newCheckpointer(g *graph.Graph, opts *Options, rs *snapshot.SearchState) *c
 func (ck *checkpointer) base(iter int, done bool) *snapshot.SearchState {
 	o := ck.opts
 	return &snapshot.SearchState{
-		Seed:             o.Seed,
-		Algorithm:        int32(o.Algorithm),
-		Beta:             o.MCMC.Beta,
-		Threshold:        o.MCMC.Threshold,
-		MaxSweeps:        int32(o.MCMC.MaxSweeps),
-		HybridFraction:   o.MCMC.HybridFraction,
-		AllowEmptyBlocks: o.MCMC.AllowEmptyBlocks,
-		Batches:          int32(o.MCMC.Batches),
-		MergeCandidates:  int32(o.Merge.Candidates),
-		ReductionFactor:  o.ReductionFactor,
-		GoldenRatio:      o.GoldenRatio,
-		NumVertices:      int64(ck.g.NumVertices()),
-		Iter:             int32(iter),
-		ResumeCount:      ck.resumeCount,
-		Done:             done,
+		Seed:            o.Seed,
+		Algorithm:       int32(o.Algorithm),
+		Beta:            o.MCMC.Beta,
+		Threshold:       o.MCMC.Threshold,
+		MaxSweeps:       int32(o.MCMC.MaxSweeps),
+		HybridFraction:  o.MCMC.HybridFraction,
+		Batches:         int32(o.MCMC.Batches),
+		MergeCandidates: int32(o.Merge.Candidates),
+		NumVertices:     int64(ck.g.NumVertices()),
+		Iter:            int32(iter),
+		ResumeCount:     ck.resumeCount,
+		Done:            done,
 	}
 }
 

@@ -194,13 +194,42 @@ func TestResumeIgnoresDivergentOptions(t *testing.T) {
 	wrong := ckptOptions(mcmc.SerialMH) // wrong engine
 	wrong.Seed = 9999                   // wrong seed
 	wrong.MCMC.MaxSweeps = 1            // wrong tunables
-	wrong.ReductionFactor = 0.9
 	wrong.Checkpoint = snapshot.Policy{Dir: dir}
 	resumed, err := Resume(g, wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "divergent-options", golden, resumed)
+}
+
+// TestResumeRejectsUnknownAlgorithm: a checksum-valid checkpoint whose
+// engine is out of range is corruption, refused before the search
+// reaches the MCMC phase, which panics on an unknown engine.
+func TestResumeRejectsUnknownAlgorithm(t *testing.T) {
+	g := ckptGraph(t)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := ckptOptions(mcmc.AsyncGibbs)
+	opts.Ctx = ctx
+	opts.Checkpoint = snapshot.Policy{Dir: dir, OnWrite: func(string) { cancel() }}
+	if res := Run(g, opts); !res.Interrupted {
+		t.Fatal("search not interrupted at its first checkpoint")
+	}
+	pol := snapshot.Policy{Dir: dir}
+	st, err := pol.LoadSearch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Algorithm = 9
+	if err := pol.WriteSearch(st); err != nil {
+		t.Fatal(err)
+	}
+	resume := ckptOptions(mcmc.AsyncGibbs)
+	resume.Checkpoint = pol
+	if _, err := Resume(g, resume); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("Resume = %v, want snapshot.ErrCorrupt", err)
+	}
 }
 
 func TestResumeErrors(t *testing.T) {

@@ -37,15 +37,6 @@ type Options struct {
 	// Merge holds the merge-phase tunables.
 	Merge merge.Config
 
-	// ReductionFactor is the fraction of communities merged away per
-	// outer iteration while searching downward; the paper halves the
-	// community count (0.5).
-	ReductionFactor float64
-
-	// GoldenRatio is the interior division point of the golden-section
-	// search once the MDL bracket is established.
-	GoldenRatio float64
-
 	// Seed seeds the deterministic RNG tree for the whole run.
 	Seed uint64
 
@@ -103,14 +94,23 @@ type Options struct {
 // given engine.
 func DefaultOptions(alg mcmc.Algorithm) Options {
 	return Options{
-		Algorithm:       alg,
-		MCMC:            mcmc.DefaultConfig(),
-		Merge:           merge.DefaultConfig(),
-		ReductionFactor: 0.5,
-		GoldenRatio:     2 / (1 + math.Sqrt(5)), // ≈ 0.618
-		Seed:            1,
+		Algorithm: alg,
+		MCMC:      mcmc.DefaultConfig(),
+		Merge:     merge.DefaultConfig(),
+		Seed:      1,
 	}
 }
+
+// reductionFactor is the fraction of communities merged away per outer
+// iteration while searching downward; the paper halves the community
+// count.
+const reductionFactor = 0.5
+
+// goldenRatio is the interior division point of the golden-section
+// search once the MDL bracket is established: the float64 value of
+// 2/(1+math.Sqrt(5)), one ulp below (math.Sqrt(5)-1)/2. A different
+// last bit could round a probe to a different community count.
+const goldenRatio = 0.6180339887498948
 
 // IterationStats records one outer iteration (one merge phase + one MCMC
 // phase) for the timing-breakdown and iteration-count figures.
@@ -338,7 +338,7 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 		// default checkpoint granularity. Nothing this iteration will
 		// consume has been touched yet, so the written state resumes
 		// bit-identically.
-		if cancelled(opts.Ctx) {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			ck.writeIteration(br, rn, iter, false)
 			res.Interrupted = true
 			break
@@ -364,7 +364,7 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 			}
 		} else {
 			ck.writeIteration(br, rn, iter, false)
-			from, t := nextTarget(br, opts)
+			from, t := nextTarget(br)
 			if from == nil || t < 1 || t >= from.c {
 				break
 			}
@@ -497,19 +497,6 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 	return res, nil
 }
 
-// cancelled polls a possibly-nil context without blocking.
-func cancelled(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
 // bits64 returns the number of bits needed to represent x (≈ log2).
 func bits64(x uint64) int {
 	n := 0
@@ -522,12 +509,12 @@ func bits64(x uint64) int {
 
 // nextTarget picks the state to continue from and the community count to
 // merge down to. While the bracket is not established the search
-// agglomerates from the best state by the reduction factor; afterwards it
+// agglomerates from the best state by reductionFactor; afterwards it
 // probes the golden-section point of the larger remaining interval.
-func nextTarget(br *bracket, opts Options) (*bracketEntry, int) {
+func nextTarget(br *bracket) (*bracketEntry, int) {
 	if !br.established() {
 		from := br.mid
-		target := int(float64(from.c) * (1 - opts.ReductionFactor))
+		target := int(float64(from.c) * (1 - reductionFactor))
 		if target < 1 {
 			target = 1
 		}
@@ -543,7 +530,7 @@ func nextTarget(br *bracket, opts Options) (*bracketEntry, int) {
 	lower := br.mid.c - br.lo.c
 	if upper >= lower && upper > 1 {
 		// Probe inside (mid, hi): start from hi and merge down.
-		target := br.mid.c + int(math.Round(opts.GoldenRatio*float64(upper)))
+		target := br.mid.c + int(math.Round(goldenRatio*float64(upper)))
 		if target >= br.hi.c {
 			target = br.hi.c - 1
 		}
@@ -554,7 +541,7 @@ func nextTarget(br *bracket, opts Options) (*bracketEntry, int) {
 	}
 	if lower > 1 {
 		// Probe inside (lo, mid): start from mid and merge down.
-		target := br.lo.c + int(math.Round(opts.GoldenRatio*float64(lower)))
+		target := br.lo.c + int(math.Round(goldenRatio*float64(lower)))
 		if target >= br.mid.c {
 			target = br.mid.c - 1
 		}

@@ -68,23 +68,24 @@ func TestBracketDone(t *testing.T) {
 }
 
 func TestNextTargetReductionPhase(t *testing.T) {
-	opts := DefaultOptions(mcmc.SerialMH)
 	br := &bracket{}
 	br.insert(&bracketEntry{mdl: 100, c: 100})
-	from, target := nextTarget(br, opts)
+	from, target := nextTarget(br)
 	if from.c != 100 || target != 50 {
 		t.Fatalf("reduction target = %d from C=%d, want 50", target, from.c)
 	}
 }
 
 func TestNextTargetGoldenSection(t *testing.T) {
-	opts := DefaultOptions(mcmc.SerialMH)
+	if goldenRatio != 2/(1+math.Sqrt(5)) {
+		t.Fatalf("goldenRatio %v is not the float64 value of 2/(1+√5)", goldenRatio)
+	}
 	br := &bracket{
 		hi:  &bracketEntry{mdl: 100, c: 100},
 		mid: &bracketEntry{mdl: 80, c: 50},
 		lo:  &bracketEntry{mdl: 90, c: 10},
 	}
-	from, target := nextTarget(br, opts)
+	from, target := nextTarget(br)
 	// Upper interval (50,100) is larger: probe there from hi.
 	if from != br.hi {
 		t.Fatal("should probe from hi")
@@ -95,7 +96,7 @@ func TestNextTargetGoldenSection(t *testing.T) {
 
 	// Shrink the upper side; the probe must move to the lower interval.
 	br.hi = &bracketEntry{mdl: 85, c: 52}
-	from, target = nextTarget(br, opts)
+	from, target = nextTarget(br)
 	if from != br.mid {
 		t.Fatal("should probe from mid into the lower interval")
 	}
@@ -105,13 +106,12 @@ func TestNextTargetGoldenSection(t *testing.T) {
 }
 
 func TestNextTargetExhausted(t *testing.T) {
-	opts := DefaultOptions(mcmc.SerialMH)
 	br := &bracket{
 		hi:  &bracketEntry{mdl: 100, c: 5},
 		mid: &bracketEntry{mdl: 80, c: 4},
 		lo:  &bracketEntry{mdl: 90, c: 3},
 	}
-	from, _ := nextTarget(br, opts)
+	from, _ := nextTarget(br)
 	if from != nil {
 		t.Fatal("exhausted bracket should yield no target")
 	}
@@ -336,14 +336,13 @@ func TestBracketEndpointDuplicatesMerge(t *testing.T) {
 // duplicate clobbered lo, the search never probed below mid, and the
 // loop burned iterations without converging on the optimum.
 func TestBracketSearchTerminatesOnDuplicateCounts(t *testing.T) {
-	opts := DefaultOptions(mcmc.SerialMH)
 	f := func(c int) float64 { return 50 + 5*math.Abs(float64(c)-10) } // optimum at c=10
 	br := &bracket{}
 	br.insert(&bracketEntry{mdl: f(64), c: 64})
 	maxIter := 16 + 4*bits64(64+1)
 	iter := 0
 	for ; !br.done() && iter < maxIter; iter++ {
-		from, target := nextTarget(br, opts)
+		from, target := nextTarget(br)
 		if from == nil || target < 1 || target >= from.c {
 			break
 		}

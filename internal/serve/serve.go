@@ -69,7 +69,8 @@ type GraphConfig struct {
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Workers is the parallel width of refinement (0 = GOMAXPROCS).
-	// Pin it when bit-identical replay across machines matters.
+	// Randomness is keyed by vertex and block, not by worker, so the
+	// width never changes the results.
 	Workers int `json:"workers,omitempty"`
 
 	// MaxSweeps bounds each refinement phase (0 = the streaming

@@ -37,8 +37,11 @@ const (
 	// versions with a *VersionError instead of misreading the payload.
 	// Version 2 keys the chain's randomness by (phase, sweep, vertex); a
 	// version 1 checkpoint holds a position in the older per-worker
-	// stream layout, which no longer exists.
-	Version uint32 = 2
+	// stream layout, which no longer exists. Version 3 drops the
+	// settings only one value ever reached: the search's empty-block
+	// switch, reduction factor and golden ratio, and the stream's
+	// empty-block switch and work partition.
+	Version uint32 = 3
 	// headerSize is magic + version + payload length.
 	headerSize = 16
 	// maxPayload bounds a declared payload length; anything larger is a

@@ -16,9 +16,7 @@ func sampleSearch() *SearchState {
 	mrng, _ := r.MarshalBinary()
 	return &SearchState{
 		Seed: 42, Algorithm: 2, Beta: 3, Threshold: 1e-4, MaxSweeps: 100,
-		HybridFraction: 0.15, AllowEmptyBlocks: false,
-		Batches: 4, MergeCandidates: 10,
-		ReductionFactor: 0.5, GoldenRatio: 0.618, NumVertices: 6,
+		HybridFraction: 0.15, Batches: 4, MergeCandidates: 10, NumVertices: 6,
 		Iter: 3, ResumeCount: 1, Done: false,
 		MasterRNG: mrng,
 		Hi:        &BracketEntry{C: 6, MDL: 123.5, Membership: []int32{0, 1, 2, 3, 4, 5}},
@@ -168,8 +166,10 @@ func TestBitFlipDetected(t *testing.T) {
 	}
 }
 
-// TestWrongVersion refuses a newer container and a version 1 one,
-// whose RNG state is a position in the per-worker stream layout.
+// TestWrongVersion refuses a newer container, a version 1 one, whose
+// RNG state is a position in the per-worker stream layout, and a
+// version 2 one, whose payload still holds the settings version 3
+// dropped.
 func TestWrongVersion(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
@@ -180,7 +180,7 @@ func TestWrongVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{1, Version + 1} {
+	for _, v := range []uint32{1, 2, Version + 1} {
 		binary.BigEndian.PutUint32(raw[4:], v)
 		_, err = Unwrap(raw)
 		var ve *VersionError

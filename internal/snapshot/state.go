@@ -16,10 +16,10 @@ package snapshot
 //     everything a restarted process needs to continue the stream
 //     bit-identically to one that was never stopped.
 //
-// Worker counts and the work partition are not part of a search or
-// rank checkpoint: every random draw of the chain comes from a stream
-// keyed by (phase, sweep, vertex) or (phase, block), so the chain does
-// not depend on them and a resume uses its own.
+// Worker counts are not part of a search or rank checkpoint: every
+// random draw of the chain comes from a stream keyed by (phase, sweep,
+// vertex) or (phase, block), so the chain does not depend on them and a
+// resume uses its own.
 //
 // All encode with the explicit little-endian field layout of codec.go:
 // a kind tag followed by fixed-width fields and length-prefixed slices.
@@ -70,18 +70,15 @@ type PhaseState struct {
 type SearchState struct {
 	// Deterministic run identity: seed, engine and every tunable that
 	// shapes the chain.
-	Seed             uint64
-	Algorithm        int32
-	Beta             float64
-	Threshold        float64
-	MaxSweeps        int32
-	HybridFraction   float64
-	AllowEmptyBlocks bool
-	Batches          int32
-	MergeCandidates  int32
-	ReductionFactor  float64
-	GoldenRatio      float64
-	NumVertices      int64
+	Seed            uint64
+	Algorithm       int32
+	Beta            float64
+	Threshold       float64
+	MaxSweeps       int32
+	HybridFraction  float64
+	Batches         int32
+	MergeCandidates int32
+	NumVertices     int64
 
 	Iter        int32 // next outer iteration index
 	ResumeCount int32 // times this run has been resumed
@@ -136,11 +133,8 @@ func (s *SearchState) Encode() []byte {
 	e.f64(s.Threshold)
 	e.i32(s.MaxSweeps)
 	e.f64(s.HybridFraction)
-	e.bool(s.AllowEmptyBlocks)
 	e.i32(s.Batches)
 	e.i32(s.MergeCandidates)
-	e.f64(s.ReductionFactor)
-	e.f64(s.GoldenRatio)
 	e.i64(s.NumVertices)
 	e.i32(s.Iter)
 	e.i32(s.ResumeCount)
@@ -199,11 +193,8 @@ func DecodeSearch(payload []byte) (*SearchState, error) {
 	s.Threshold = d.f64()
 	s.MaxSweeps = d.i32()
 	s.HybridFraction = d.f64()
-	s.AllowEmptyBlocks = d.boolean()
 	s.Batches = d.i32()
 	s.MergeCandidates = d.i32()
-	s.ReductionFactor = d.f64()
-	s.GoldenRatio = d.f64()
 	s.NumVertices = d.i64()
 	s.Iter = d.i32()
 	s.ResumeCount = d.i32()

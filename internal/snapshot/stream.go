@@ -13,9 +13,8 @@ package snapshot
 type StreamState struct {
 	// Stream identity: seed, engine and every tunable of future
 	// batches. Restore has no other source for the graph's settings, so
-	// the worker widths and partition ride along too, as configured: 0
-	// means the restoring host's GOMAXPROCS, and none of the three
-	// changes the chain.
+	// the worker widths ride along too, as configured: 0 means the
+	// restoring host's GOMAXPROCS, and neither changes the chain.
 	Seed              uint64
 	Algorithm         int32
 	Beta              float64
@@ -23,9 +22,7 @@ type StreamState struct {
 	MaxSweeps         int32
 	HybridFraction    float64
 	MCMCWorkers       int32
-	AllowEmptyBlocks  bool
 	MCMCBatches       int32
-	Partition         int32
 	MergeCandidates   int32
 	MergeWorkers      int32
 	FullSearchPeriod  int32
@@ -72,9 +69,7 @@ func (s *StreamState) Encode() []byte {
 	e.i32(s.MaxSweeps)
 	e.f64(s.HybridFraction)
 	e.i32(s.MCMCWorkers)
-	e.bool(s.AllowEmptyBlocks)
 	e.i32(s.MCMCBatches)
-	e.i32(s.Partition)
 	e.i32(s.MergeCandidates)
 	e.i32(s.MergeWorkers)
 	e.i32(s.FullSearchPeriod)
@@ -118,9 +113,7 @@ func DecodeStream(payload []byte) (*StreamState, error) {
 	s.MaxSweeps = d.i32()
 	s.HybridFraction = d.f64()
 	s.MCMCWorkers = d.i32()
-	s.AllowEmptyBlocks = d.boolean()
 	s.MCMCBatches = d.i32()
-	s.Partition = d.i32()
 	s.MergeCandidates = d.i32()
 	s.MergeWorkers = d.i32()
 	s.FullSearchPeriod = d.i32()

@@ -12,8 +12,8 @@ func sampleStream() *StreamState {
 	b, _ := r.MarshalBinary()
 	return &StreamState{
 		Seed: 11, Algorithm: 3, Beta: 3, Threshold: 1e-4, MaxSweeps: 30,
-		HybridFraction: 0.15, MCMCWorkers: 4, AllowEmptyBlocks: false,
-		MCMCBatches: 2, Partition: 0, MergeCandidates: 10, MergeWorkers: 4,
+		HybridFraction: 0.15, MCMCWorkers: 4,
+		MCMCBatches: 2, MergeCandidates: 10, MergeWorkers: 4,
 		FullSearchPeriod: 5, SampleKind: 1, SampleFraction: 0.3,
 		SampleSeed: 9, SampleMinVertices: 50,
 		NumVertices: 5, IngestedBatches: 3, FullSearches: 2, Escalations: 1,

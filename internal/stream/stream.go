@@ -405,9 +405,7 @@ func (d *Detector) Checkpoint(meta []byte) (*snapshot.StreamState, error) {
 		MaxSweeps:         int32(d.cfg.MCMC.MaxSweeps),
 		HybridFraction:    d.cfg.MCMC.HybridFraction,
 		MCMCWorkers:       int32(d.cfg.MCMC.Workers),
-		AllowEmptyBlocks:  d.cfg.MCMC.AllowEmptyBlocks,
 		MCMCBatches:       int32(d.cfg.MCMC.Batches),
-		Partition:         int32(d.cfg.MCMC.Partition),
 		MergeCandidates:   int32(d.cfg.Merge.Candidates),
 		MergeWorkers:      int32(d.cfg.Merge.Workers),
 		FullSearchPeriod:  int32(d.cfg.FullSearchPeriod),
@@ -442,19 +440,21 @@ func (d *Detector) Checkpoint(meta []byte) (*snapshot.StreamState, error) {
 // configured, so 0 means this host's GOMAXPROCS), the fitted model is
 // rebuilt from the edge history and assignment, and the rebuilt MDL
 // must match the stored MDL bit-for-bit — a mismatch is corruption and
-// fails the restore. The restored detector continues the stream
-// bit-identically to one that was never stopped.
+// fails the restore, as does an unknown engine or an invalid sampler
+// setting (snapshot.ErrCorrupt). The restored detector continues the
+// stream bit-identically to one that was never stopped.
 func Restore(st *snapshot.StreamState) (*Detector, error) {
 	cfg := DefaultConfig()
 	cfg.Algorithm = mcmc.Algorithm(st.Algorithm)
+	if !cfg.Algorithm.Valid() {
+		return nil, fmt.Errorf("stream: restore: algorithm %d: %w", st.Algorithm, snapshot.ErrCorrupt)
+	}
 	cfg.MCMC.Beta = st.Beta
 	cfg.MCMC.Threshold = st.Threshold
 	cfg.MCMC.MaxSweeps = int(st.MaxSweeps)
 	cfg.MCMC.HybridFraction = st.HybridFraction
 	cfg.MCMC.Workers = int(st.MCMCWorkers)
-	cfg.MCMC.AllowEmptyBlocks = st.AllowEmptyBlocks
 	cfg.MCMC.Batches = int(st.MCMCBatches)
-	cfg.MCMC.Partition = mcmc.Partition(st.Partition)
 	cfg.Merge.Candidates = int(st.MergeCandidates)
 	cfg.Merge.Workers = int(st.MergeWorkers)
 	cfg.FullSearchPeriod = int(st.FullSearchPeriod)
@@ -462,6 +462,9 @@ func Restore(st *snapshot.StreamState) (*Detector, error) {
 		Kind:     sample.Kind(st.SampleKind),
 		Fraction: st.SampleFraction,
 		Seed:     st.SampleSeed,
+	}
+	if err := cfg.Sample.Validate(); err != nil {
+		return nil, fmt.Errorf("stream: restore: %w: %v", snapshot.ErrCorrupt, err)
 	}
 	cfg.SampleMinVertices = int(st.SampleMinVertices)
 	cfg.Seed = st.Seed

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sample"
+	"repro/internal/snapshot"
 )
 
 // streamedGraph generates a structured graph and splits its edges into
@@ -422,5 +424,31 @@ func TestStreamingRestoreRejectsTamperedMDL(t *testing.T) {
 	st.MDL *= 1.0000001
 	if _, err := Restore(st); err == nil {
 		t.Fatal("restore accepted a tampered MDL")
+	}
+}
+
+// An engine or sampler setting outside its range is corruption: Restore
+// refuses it with snapshot.ErrCorrupt instead of handing the next
+// Ingest a configuration it panics on.
+func TestStreamingRestoreRejectsUnknownSettings(t *testing.T) {
+	_, _, batches := streamedGraph(t, 2, 31)
+	d := NewDetector(DefaultConfig())
+	ingestAll(t, d, batches)
+	for _, c := range []struct {
+		name   string
+		tamper func(*snapshot.StreamState)
+	}{
+		{"algorithm", func(st *snapshot.StreamState) { st.Algorithm = 9 }},
+		{"sample-kind", func(st *snapshot.StreamState) { st.SampleFraction, st.SampleKind = 0.3, 9 }},
+		{"sample-fraction", func(st *snapshot.StreamState) { st.SampleFraction = 1.5 }},
+	} {
+		st, err := d.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.tamper(st)
+		if _, err := Restore(st); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("%s: Restore = %v, want snapshot.ErrCorrupt", c.name, err)
+		}
 	}
 }
