@@ -80,16 +80,16 @@ func BenchmarkProposeVertexMove(b *testing.B) {
 // BenchmarkRebuild times RebuildFrom's two paths on the same rebuilds,
 // each iteration alternating between two memberships that differ in the
 // given share of vertices: incremental is the moved-vertex update,
-// recount the 2-worker full recount. Dense mode is the planted C=32
-// partition; sparse mode a uniform random one at C=V/2, the shape of an
-// early search iteration. recountShare cites where the paths cross.
+// recount the full recount. Dense mode is the planted C=32 partition;
+// sparse mode a uniform random one at C=V/2, the shape of an early
+// search iteration. recountShare cites where the paths cross.
 func BenchmarkRebuild(b *testing.B) {
-	const v, workers = 5000, 2
+	const v = 5000
 	for _, mode := range []struct {
 		name string
 		c    int
 	}{{"dense", 32}, {"sparse", v / 2}} {
-		for _, pct := range []int{1, 10, 50} {
+		for _, pct := range []int{1, 5, 10, 20, 50} {
 			for _, path := range []string{"incremental", "recount"} {
 				b.Run(fmt.Sprintf("%s/moved=%d%%/%s", mode.name, pct, path), func(b *testing.B) {
 					planted, r := benchModel(b, v, 32)
@@ -104,7 +104,7 @@ func BenchmarkRebuild(b *testing.B) {
 					for _, i := range r.Perm(v)[:v*pct/100] {
 						moved[i] = int32((int(a[i]) + 1 + r.Intn(mode.c-1)) % mode.c)
 					}
-					bm, err := FromAssignment(planted.G, a, mode.c, workers)
+					bm, err := FromAssignment(planted.G, a, mode.c, 1)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -115,7 +115,7 @@ func BenchmarkRebuild(b *testing.B) {
 							bm.moveVertices(next)
 						} else {
 							copy(bm.Assignment, next)
-							bm.rebuildCounts(workers)
+							bm.rebuildCounts()
 						}
 					}
 					step(0) // grow the sparse rows to both memberships' needs
@@ -165,6 +165,6 @@ func BenchmarkIdentityBuild(b *testing.B) {
 	_ = g
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Identity(gBig, 0)
+		_ = Identity(gBig)
 	}
 }

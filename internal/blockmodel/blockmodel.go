@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -43,8 +42,8 @@ type Blockmodel struct {
 }
 
 // FromAssignment builds a consistent Blockmodel for g with the given
-// assignment into c blocks. workers controls build parallelism (<=0 means
-// GOMAXPROCS).
+// assignment into c blocks. workers no longer changes anything: the
+// count runs on the calling goroutine.
 func FromAssignment(g *graph.Graph, assignment []int32, c int, workers int) (*Blockmodel, error) {
 	if len(assignment) != g.NumVertices() {
 		return nil, fmt.Errorf("blockmodel: assignment length %d != vertex count %d", len(assignment), g.NumVertices())
@@ -54,29 +53,19 @@ func FromAssignment(g *graph.Graph, assignment []int32, c int, workers int) (*Bl
 			return nil, fmt.Errorf("blockmodel: vertex %d assigned to block %d outside [0,%d)", v, b, c)
 		}
 	}
-	bm := &Blockmodel{
-		G:          g,
-		C:          c,
-		Assignment: append([]int32(nil), assignment...),
-		M:          sparse.NewMatrix(c),
-		DOut:       make([]int64, c),
-		DIn:        make([]int64, c),
-		DTot:       make([]int64, c),
-		Sizes:      make([]int32, c),
-	}
-	bm.rebuildCounts(workers)
+	bm := &Blockmodel{G: g, C: c, Assignment: append([]int32(nil), assignment...)}
+	bm.rebuildCounts()
 	return bm, nil
 }
 
 // FromCheckpoint rebuilds a blockmodel from a checkpointed membership
 // and verifies the rebuilt description length equals the stored one
 // bit-for-bit. Edge counts are integers, so the MDL recomputation is
-// exact regardless of rebuild parallelism — any mismatch means the
-// membership does not belong to this graph (wrong file, wrong graph,
-// or corruption the container checksum cannot see), and resuming from
-// it would silently diverge.
-func FromCheckpoint(g *graph.Graph, membership []int32, c int, wantMDL float64, workers int) (*Blockmodel, error) {
-	bm, err := FromAssignment(g, membership, c, workers)
+// exact — any mismatch means the membership does not belong to this
+// graph (wrong file, wrong graph, or corruption the container checksum
+// cannot see), and resuming from it would silently diverge.
+func FromCheckpoint(g *graph.Graph, membership []int32, c int, wantMDL float64) (*Blockmodel, error) {
+	bm, err := FromAssignment(g, membership, c, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -88,110 +77,80 @@ func FromCheckpoint(g *graph.Graph, membership []int32, c int, wantMDL float64, 
 
 // Identity returns the trivial blockmodel with every vertex in its own
 // block — the starting state of SBP.
-func Identity(g *graph.Graph, workers int) *Blockmodel {
+func Identity(g *graph.Graph) *Blockmodel {
 	n := g.NumVertices()
 	assignment := make([]int32, n)
 	for v := range assignment {
 		assignment[v] = int32(v)
 	}
-	bm, err := FromAssignment(g, assignment, n, workers)
+	bm, err := FromAssignment(g, assignment, n, 1)
 	if err != nil {
 		panic(err) // identity assignment is always valid
 	}
 	return bm
 }
 
-// rebuildCounts recomputes M, degrees and sizes from Assignment.
-// The degree and size accumulation is parallelised over vertex ranges
-// with per-worker partial vectors; the matrix fill is parallelised over
-// source-vertex ranges with per-worker partial matrices that are merged,
-// mirroring the paper's parallel reconstruction of B after each
-// asynchronous sweep.
-func (bm *Blockmodel) rebuildCounts(workers int) {
-	n := bm.G.NumVertices()
-	c := bm.C
-	workers = parallel.DefaultWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type partial struct {
-		m     *sparse.Matrix
-		dOut  []int64
-		dIn   []int64
-		sizes []int32
-	}
-	parts := make([]partial, workers)
-	parallel.ForChunked(n, workers, func(lo, hi, w int) {
-		p := partial{
-			m:     sparse.NewMatrix(c),
-			dOut:  make([]int64, c),
-			dIn:   make([]int64, c),
-			sizes: make([]int32, c),
-		}
-		for v := lo; v < hi; v++ {
-			r := bm.Assignment[v]
-			p.sizes[r]++
-			out := bm.G.OutNeighbors(v)
-			p.dOut[r] += int64(len(out))
-			p.dIn[r] += int64(bm.G.InDegree(v))
-			for _, u := range out {
-				p.m.Add(int(r), int(bm.Assignment[u]), 1)
-			}
-		}
-		parts[w] = p
-	})
-
-	m := sparse.NewMatrix(c)
-	dOut := make([]int64, c)
-	dIn := make([]int64, c)
-	sizes := make([]int32, c)
-	for _, p := range parts {
-		if p.m == nil {
-			continue
-		}
-		for r := 0; r < c; r++ {
-			dOut[r] += p.dOut[r]
-			dIn[r] += p.dIn[r]
-			sizes[r] += p.sizes[r]
-			p.m.RowNZ(r, func(s int32, count int64) {
-				m.Add(r, int(s), count)
-			})
-		}
-	}
-	bm.M = m
-	bm.DOut = dOut
-	bm.DIn = dIn
-	bm.Sizes = sizes
+// rebuildCounts recomputes M, degrees and sizes from Assignment on one
+// goroutine, in O(V + E + C) time and a fixed number of allocations:
+// one pass over the vertices sums the degrees and sizes, and a counting
+// pass lists, for each block s, the tail's block of every edge whose
+// head is in s. Those lists are the columns of M.
+func (bm *Blockmodel) rebuildCounts() {
+	g, c := bm.G, bm.C
+	bm.DOut = make([]int64, c)
+	bm.DIn = make([]int64, c)
 	bm.DTot = make([]int64, c)
-	for r := 0; r < c; r++ {
-		bm.DTot[r] = dOut[r] + dIn[r]
+	bm.Sizes = make([]int32, c)
+	for v, r := range bm.Assignment {
+		bm.Sizes[r]++
+		bm.DOut[r] += int64(g.OutDegree(v))
+		bm.DIn[r] += int64(g.InDegree(v))
 	}
+	// at[s] starts as the end of column s and is counted down to its
+	// start while the column is filled.
+	at := make([]int, c+1)
+	e := 0
+	for s := 0; s < c; s++ {
+		bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
+		e += int(bm.DIn[s])
+		at[s] = e
+	}
+	at[c] = e
+	tails := make([]int32, e)
+	for v, s := range bm.Assignment {
+		in := g.InNeighbors(v)
+		at[s] -= len(in)
+		col := tails[at[s] : at[s]+len(in)]
+		for i, u := range in {
+			col[i] = bm.Assignment[u]
+		}
+	}
+	bm.M = sparse.FromColumns(c, at, tails)
 }
 
 // recountShare is the share of the 2E edge endpoints, counted at the
 // vertices whose block changed, above which RebuildFrom recounts every
-// count in parallel instead of re-bucketing the moved vertices' edges.
-// BenchmarkRebuild times both paths with 1%, 10% and 50% of vertices
-// moved. On a 2-vCPU linux-amd64 host (5,000 vertices, a 2-worker
-// recount) they cross near 18% moved in dense mode (C=32, where a
-// recount takes about 0.2 ms) and near 50% in sparse mode (C=V/2, about
-// 11 ms). One constant serves both, so it sits nearer the sparse
-// crossing, where the wrong path costs fifty times more.
-const recountShare = 0.4
+// count instead of re-bucketing the moved vertices' edges.
+// BenchmarkRebuild times both paths on 5,000 vertices with 1% to 50% of
+// them moved. On a 2-vCPU linux-amd64 host they cross near 5% moved in
+// sparse mode (C=V/2: a recount takes about 1.9 ms, the update 0.43 ms
+// at 1% and 3.5 ms at 10%) and near 24% in dense mode (C=32: about
+// 0.33 ms, against 0.10 ms at 10% and 0.25 ms at 20%). One constant
+// serves both, so it sits just above the sparse crossing, where the
+// wrong path costs the most. Summed over whole A-SBP and B-SBP searches
+// and D-H-SBP phases, rebuild time at 6% is within about 5% of its
+// minimum over thresholds, and 4% to 60% lower than at 40%.
+const recountShare = 0.06
 
 // RebuildFrom replaces the assignment with membership and brings every
 // count up to date: the "rebuild B from community_membership" step at
 // the end of each asynchronous Gibbs sweep (Algorithms 3 and 4). When
 // the vertices whose block changed hold at most recountShare of the
-// edge endpoints, only their edges are re-bucketed, on the calling
-// goroutine and without allocating once the sparse rows have grown;
-// otherwise every count is recounted over workers. M holds integer
-// counts and sparse rows stay sorted, so both paths leave the identical
-// state. It reports whether it recounted.
+// edge endpoints, only their edges are re-bucketed, without allocating
+// once the sparse rows have grown; otherwise every count is recounted.
+// Both run on the calling goroutine, and workers no longer changes
+// anything. M holds integer counts and sparse rows stay sorted, so both
+// paths leave the identical state. It reports whether it recounted.
 func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) (recounted bool) {
 	var moved int64
 	for v, b := range membership {
@@ -201,7 +160,7 @@ func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) (recounted bo
 	}
 	if float64(moved) > recountShare*float64(2*bm.G.NumEdges()) {
 		copy(bm.Assignment, membership)
-		bm.rebuildCounts(workers)
+		bm.rebuildCounts()
 		return true
 	}
 	bm.moveVertices(membership)
@@ -270,10 +229,10 @@ func (bm *Blockmodel) NumNonEmptyBlocks() int {
 // Compact renumbers blocks to remove empty ones, returning the mapping
 // from old to new block ids (-1 for removed blocks). Used after the merge
 // phase and after MCMC phases that empty blocks.
-func (bm *Blockmodel) Compact(workers int) []int32 {
+func (bm *Blockmodel) Compact() []int32 {
 	remap, kept := keepNonEmpty(bm.Sizes)
 	if kept < bm.C {
-		bm.renumber(remap, kept, workers)
+		bm.renumber(remap, kept)
 	}
 	return remap
 }
@@ -281,7 +240,7 @@ func (bm *Blockmodel) Compact(workers int) []int32 {
 // Relabel moves every vertex of block r to block to[r], drops the
 // blocks this leaves empty with Compact's renumbering, and recounts once
 // at the new block count. The merge phase applies its merges this way.
-func (bm *Blockmodel) Relabel(to []int32, workers int) {
+func (bm *Blockmodel) Relabel(to []int32) {
 	sizes := make([]int32, bm.C)
 	for r, t := range to {
 		sizes[t] += bm.Sizes[r]
@@ -291,7 +250,7 @@ func (bm *Blockmodel) Relabel(to []int32, workers int) {
 	for r, t := range to {
 		remap[r] = keep[t]
 	}
-	bm.renumber(remap, kept, workers)
+	bm.renumber(remap, kept)
 }
 
 // keepNonEmpty is Compact's renumbering rule: the blocks of nonzero size
@@ -312,12 +271,12 @@ func keepNonEmpty(sizes []int32) (remap []int32, kept int) {
 
 // renumber maps every vertex's block through remap, shrinks C to c and
 // recounts.
-func (bm *Blockmodel) renumber(remap []int32, c, workers int) {
+func (bm *Blockmodel) renumber(remap []int32, c int) {
 	for v, b := range bm.Assignment {
 		bm.Assignment[v] = remap[b]
 	}
 	bm.C = c
-	bm.rebuildCounts(workers)
+	bm.rebuildCounts()
 }
 
 // Validate recomputes all counts from scratch and reports the first

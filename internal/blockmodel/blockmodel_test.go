@@ -86,7 +86,7 @@ func TestFromAssignmentRejectsBad(t *testing.T) {
 
 func TestIdentity(t *testing.T) {
 	g, _ := fixture(t)
-	bm := Identity(g, 1)
+	bm := Identity(g)
 	if bm.C != g.NumVertices() {
 		t.Fatalf("identity C = %d", bm.C)
 	}
@@ -97,27 +97,6 @@ func TestIdentity(t *testing.T) {
 	}
 	if err := bm.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParallelRebuildMatchesSerial(t *testing.T) {
-	r := rng.New(5)
-	g, assign := randomGraph(r, 200, 1000, 17)
-	serial, err := FromAssignment(g, assign, 17, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FromAssignment(g, assign, 17, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.M.Equal(par.M) {
-		t.Fatal("parallel rebuild differs from serial")
-	}
-	for i := range serial.DOut {
-		if serial.DOut[i] != par.DOut[i] || serial.DIn[i] != par.DIn[i] || serial.Sizes[i] != par.Sizes[i] {
-			t.Fatalf("degree/size mismatch at block %d", i)
-		}
 	}
 }
 
@@ -264,10 +243,10 @@ func TestRelabelMatchesRebuildThenCompact(t *testing.T) {
 			membership[v] = to[b]
 		}
 		want.RebuildFrom(membership, 1)
-		want.Compact(1)
+		want.Compact()
 
 		got, _ := FromAssignment(g, assign, c, 1)
-		got.Relabel(to, 2)
+		got.Relabel(to)
 		if got.C != want.C || !slices.Equal(got.Assignment, want.Assignment) || !got.M.Equal(want.M) ||
 			!slices.Equal(got.Sizes, want.Sizes) || !slices.Equal(got.DTot, want.DTot) {
 			t.Fatalf("C=%d: Relabel state differs from rebuild-then-compact (C %d vs %d)", c, got.C, want.C)
@@ -300,7 +279,7 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remap := bm.Compact(1)
+	remap := bm.Compact()
 	if bm.C != 2 {
 		t.Fatalf("C after compact = %d", bm.C)
 	}
@@ -316,7 +295,7 @@ func TestCompactNoopWhenFull(t *testing.T) {
 	g, assign := fixture(t)
 	bm, _ := FromAssignment(g, assign, 2, 1)
 	before := bm.M.Clone()
-	bm.Compact(1)
+	bm.Compact()
 	if bm.C != 2 || !bm.M.Equal(before) {
 		t.Fatal("compact changed an already-compact model")
 	}

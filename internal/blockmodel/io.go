@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"repro/internal/graph"
 )
 
 // WriteAssignment writes the community assignment as "vertex community"
@@ -25,8 +23,9 @@ func WriteAssignment(w io.Writer, assignment []int32) error {
 }
 
 // ReadAssignment parses "vertex community" lines for a graph with n
-// vertices. Every vertex must appear exactly once; community ids are
-// kept as given (use Compact after FromAssignment to densify).
+// vertices. Every vertex must appear exactly once; community ids must
+// be non-negative and fit in an int32, and are kept as given (use
+// Compact after FromAssignment to densify).
 func ReadAssignment(r io.Reader, n int) ([]int32, error) {
 	out := make([]int32, n)
 	seen := make([]bool, n)
@@ -47,7 +46,7 @@ func ReadAssignment(r io.Reader, n int) ([]int32, error) {
 		if err != nil {
 			return nil, fmt.Errorf("blockmodel: line %d: bad vertex %q: %w", line, fields[0], err)
 		}
-		c, err := strconv.Atoi(fields[1])
+		c, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("blockmodel: line %d: bad community %q: %w", line, fields[1], err)
 		}
@@ -72,25 +71,4 @@ func ReadAssignment(r io.Reader, n int) ([]int32, error) {
 		}
 	}
 	return out, nil
-}
-
-// LoadAssignment reads an assignment file and builds a compacted
-// Blockmodel for g.
-func LoadAssignment(r io.Reader, g *graph.Graph, workers int) (*Blockmodel, error) {
-	assignment, err := ReadAssignment(r, g.NumVertices())
-	if err != nil {
-		return nil, err
-	}
-	maxC := int32(0)
-	for _, c := range assignment {
-		if c >= maxC {
-			maxC = c + 1
-		}
-	}
-	bm, err := FromAssignment(g, assignment, int(maxC), workers)
-	if err != nil {
-		return nil, err
-	}
-	bm.Compact(workers)
-	return bm, nil
 }

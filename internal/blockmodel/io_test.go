@@ -34,6 +34,8 @@ func TestReadAssignmentErrors(t *testing.T) {
 		{"negative community", "0 -1\n1 0\n2 0\n"},
 		{"bad fields", "0\n1 0\n2 0\n"},
 		{"non-numeric", "a 0\n1 0\n2 0\n"},
+		{"community past uint32", "0 0\n1 4294967296\n2 0\n"},
+		{"community past int32", "0 0\n1 2147483648\n2 0\n"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadAssignment(strings.NewReader(tc.in), 3); err == nil {
@@ -50,21 +52,5 @@ func TestReadAssignmentSkipsComments(t *testing.T) {
 	}
 	if got[0] != 1 || got[2] != 0 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestLoadAssignmentCompacts(t *testing.T) {
-	g, _ := fixture(t)
-	// Communities 5 and 9: must compact to 2 blocks.
-	in := "0 5\n1 5\n2 5\n3 9\n4 9\n5 9\n"
-	bm, err := LoadAssignment(strings.NewReader(in), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm.C != 2 {
-		t.Fatalf("C = %d after compaction", bm.C)
-	}
-	if err := bm.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

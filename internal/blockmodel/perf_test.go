@@ -2,6 +2,7 @@ package blockmodel
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,7 +38,7 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 		name string
 		bm   *Blockmodel
 	}{
-		{"sparse", Identity(g, 1)}, // C = 600 > DenseThreshold
+		{"sparse", Identity(g)}, // C = 600 > DenseThreshold
 		{"dense", mustFromAssignment(t, g, moduloAssign(n, 16), 16)},
 	}
 	for _, tc := range cases {
@@ -106,6 +107,28 @@ func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFromAssignmentSparseAllocs gates the recount's allocations: in
+// sparse storage FromAssignment allocates a fixed handful of times,
+// whatever C is. A recount that inserts edge by edge into sorted rows
+// allocates again for every row it grows.
+func TestFromAssignmentSparseAllocs(t *testing.T) {
+	r := rng.New(5)
+	g := rebuildGraph(r, 6000, 24000)
+	runtime.GC() // start the collector's workers outside the count
+	var allocs []float64
+	for _, c := range []int{300, 3000} {
+		a := make([]int32, g.NumVertices())
+		for v := range a {
+			a[v] = int32(r.Intn(c))
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { mustFromAssignment(t, g, a, c) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 32 {
+		t.Fatalf("FromAssignment allocates %.0f times at C=300 and %.0f at C=3000, want the same and at most 32",
+			allocs[0], allocs[1])
+	}
+}
+
 func moduloAssign(n, c int) []int32 {
 	a := make([]int32, n)
 	for v := range a {
@@ -166,7 +189,7 @@ func TestScratchRetainedCapacityBounded(t *testing.T) {
 	g := ringGraph(n)
 	sc := NewScratch()
 
-	big := Identity(g, 1)
+	big := Identity(g)
 	rn := rng.New(9)
 	for i := 0; i < 4; i++ {
 		v := rn.Intn(n)

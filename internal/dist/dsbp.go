@@ -341,7 +341,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 				int(rst.Blocks) != c {
 				return st, fmt.Errorf("dist: rank %d checkpoint at sweep %d does not match this run's configuration", r, common)
 			}
-			replica, err = blockmodel.FromCheckpoint(g, rst.Membership, int(rst.Blocks), rst.PrevMDL, 1)
+			replica, err = blockmodel.FromCheckpoint(g, rst.Membership, int(rst.Blocks), rst.PrevMDL)
 			if err != nil {
 				return st, fmt.Errorf("dist: rank %d checkpoint at sweep %d: %w", r, common, err)
 			}

@@ -349,7 +349,7 @@ func TestHybridRankListsMatchInProcessVStar(t *testing.T) {
 		{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 6},
 		{Src: 6, Dst: 7}, {Src: 7, Dst: 8}, {Src: 8, Dst: 9},
 	})
-	bm := blockmodel.Identity(g, 1)
+	bm := blockmodel.Identity(g)
 	vStar, _ := mcmc.SplitByDegree(bm, 0.15)
 	inStar := map[int32]bool{}
 	for _, v := range vStar {

@@ -59,7 +59,7 @@ func interruptAndResume(t *testing.T, alg Algorithm, killAt int) {
 
 	// Resume leg: rebuild from the recorded boundary, restore the master
 	// stream, and continue. This mirrors sbp's restorePhase.
-	resumed, err := blockmodel.FromCheckpoint(work.G, boundary, work.C, rec.PrevMDL, cfg.Workers)
+	resumed, err := blockmodel.FromCheckpoint(work.G, boundary, work.C, rec.PrevMDL)
 	if err != nil {
 		t.Fatalf("boundary state rejected: %v", err)
 	}

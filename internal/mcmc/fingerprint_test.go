@@ -70,7 +70,7 @@ func resumedRun(t *testing.T, alg Algorithm, cfg Config, seed uint64, resumeWork
 	if st := Run(work, alg, icfg, rng.New(seed)); !st.Interrupted {
 		t.Fatalf("%s finished before its second checkpoint", alg)
 	}
-	resumed, err := blockmodel.FromCheckpoint(work.G, boundary, work.C, rec.PrevMDL, cfg.Workers)
+	resumed, err := blockmodel.FromCheckpoint(work.G, boundary, work.C, rec.PrevMDL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,9 +98,9 @@ type Config struct {
 	// processed serially by the Hybrid engine. The paper reserves 15%.
 	HybridFraction float64
 
-	// Workers is the parallel width of the asynchronous passes and the
-	// blockmodel rebuild; <= 0 means GOMAXPROCS. Every vertex draws from
-	// its own stream, so the width never changes the chain.
+	// Workers is the parallel width of the asynchronous passes; <= 0
+	// means GOMAXPROCS. Every vertex draws from its own stream, so the
+	// width never changes the chain.
 	Workers int
 
 	// Batches is the number of rebuild batches per sweep for the
@@ -188,8 +188,7 @@ type Stats struct {
 
 	// Cost is the work/span account of the phase: proposal work in the
 	// serial passes is serial work, proposal work in the asynchronous
-	// passes is parallel work, and a blockmodel rebuild is serial work
-	// when it updates the moved vertices and parallel when it recounts.
+	// passes is parallel work, and a blockmodel rebuild is serial work.
 	Cost parallel.CostModel
 }
 

@@ -160,7 +160,7 @@ func TestSplitByDegreeCeil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := blockmodel.Identity(g, 1)
+	bm := blockmodel.Identity(g)
 	cases := []struct {
 		fraction float64
 		want     int

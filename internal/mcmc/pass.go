@@ -181,21 +181,14 @@ func passCancelled(done <-chan struct{}, aborted *atomic.Bool) bool {
 }
 
 // rebuild brings bm up to date with the pass's membership and charges
-// the time by the path RebuildFrom took: its incremental update of the
-// moved vertices runs on one goroutine, so it is serial work; a recount
-// runs over the workers, so it is parallel work (the paper notes the
-// rebuild overhead "can be reduced by performing the reconstruction of
-// B in parallel").
-func rebuild(bm *blockmodel.Blockmodel, next []int32, workers int, st *Stats, sp *sweepProbe) {
+// the time as serial work: RebuildFrom runs on one goroutine on either
+// of its paths.
+func rebuild(bm *blockmodel.Blockmodel, next []int32, st *Stats, sp *sweepProbe) {
 	start := time.Now()
-	recounted := bm.RebuildFrom(next, workers)
+	bm.RebuildFrom(next, 1)
 	ns := float64(time.Since(start).Nanoseconds())
 	sp.rebuild(ns)
-	if recounted {
-		st.Cost.AddParallel(ns)
-	} else {
-		st.Cost.AddSerial(ns)
-	}
+	st.Cost.AddSerial(ns)
 }
 
 // newScratches allocates one evaluation Scratch per worker.

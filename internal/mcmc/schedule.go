@@ -114,7 +114,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 				return st
 			}
 			st.Cost.AddParallel(sp.pass(res.BusyNS))
-			rebuild(bm, next, cfg.Workers, &st, sp)
+			rebuild(bm, next, &st, sp)
 			if cfg.Verify {
 				// Per pass, not just per sweep: a corrupted mid-sweep
 				// rebuild is caught before the next pass consumes it.

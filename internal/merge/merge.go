@@ -179,16 +179,14 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	}
 
 	// Relabel every block through the union-find; the blockmodel drops
-	// the emptied blocks and recounts once at the new block count.
+	// the emptied blocks and recounts once, on this goroutine, at the new
+	// block count.
 	to := make([]int32, bm.C)
 	for r := range to {
 		to[r] = uf.find(int32(r))
 	}
+	bm.Relabel(to)
 	st.Cost.AddSerial(float64(time.Since(serialStart).Nanoseconds()))
-
-	rebuildStart := time.Now()
-	bm.Relabel(to, cfg.Workers)
-	st.Cost.AddParallel(float64(time.Since(rebuildStart).Nanoseconds()))
 	if cfg.Verify {
 		check.MustInvariants(bm, "merge post-phase invariants")
 	}

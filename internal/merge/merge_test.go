@@ -19,7 +19,7 @@ func testModel(t *testing.T, seed uint64) (*blockmodel.Blockmodel, []int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blockmodel.Identity(g, 1), truth
+	return blockmodel.Identity(g), truth
 }
 
 func TestPhaseReducesBlockCount(t *testing.T) {
@@ -91,7 +91,7 @@ func TestPhaseImprovesOverRandomMerges(t *testing.T) {
 		membership[v] = int32(r.Intn(4))
 	}
 	random.RebuildFrom(membership, 1)
-	random.Compact(1)
+	random.Compact()
 
 	if guided.MDL() >= random.MDL() {
 		t.Fatalf("guided merges (MDL %v) not better than random partition (MDL %v)", guided.MDL(), random.MDL())

@@ -146,12 +146,12 @@ func (ck *checkpointer) writePhase(br *bracket, iter, fromC, target int, work *b
 
 // restoreBracket rebuilds the golden-section bracket from checkpointed
 // memberships, verifying each entry's MDL bit-for-bit.
-func restoreBracket(br *bracket, rs *snapshot.SearchState, g *graph.Graph, workers int) error {
+func restoreBracket(br *bracket, rs *snapshot.SearchState, g *graph.Graph) error {
 	restore := func(se *snapshot.BracketEntry, name string) (*bracketEntry, error) {
 		if se == nil {
 			return nil, nil
 		}
-		bm, err := blockmodel.FromCheckpoint(g, se.Membership, int(se.C), se.MDL, workers)
+		bm, err := blockmodel.FromCheckpoint(g, se.Membership, int(se.C), se.MDL)
 		if err != nil {
 			return nil, fmt.Errorf("sbp: bracket %s: %w", name, err)
 		}
@@ -178,7 +178,7 @@ func restoreBracket(br *bracket, rs *snapshot.SearchState, g *graph.Graph, worke
 // stats of the already-completed merge phase, and the engine's chain
 // position.
 func restorePhase(g *graph.Graph, opts *Options, p *snapshot.PhaseState) (fromC, target int, work *blockmodel.Blockmodel, ms merge.Stats, resume *mcmc.Resume, err error) {
-	work, err = blockmodel.FromCheckpoint(g, p.Membership, int(p.WorkBlocks), p.WorkMDL, opts.MCMC.Workers)
+	work, err = blockmodel.FromCheckpoint(g, p.Membership, int(p.WorkBlocks), p.WorkMDL)
 	if err != nil {
 		return 0, 0, nil, ms, nil, fmt.Errorf("sbp: phase state: %w", err)
 	}

@@ -116,7 +116,7 @@ func seedFromSample(g *graph.Graph, opts *Options, rn *rng.RNG, br *bracket, run
 	if err != nil {
 		return nil, false, fmt.Errorf("sbp: extended blockmodel: %w", err)
 	}
-	work.Compact(opts.MCMC.Workers)
+	work.Compact()
 	st.ExtendTime = time.Since(extendStart)
 	st.Anchored = ext.Anchored
 	st.Fallback = ext.Fallback
@@ -150,7 +150,7 @@ func seedFromSample(g *graph.Graph, opts *Options, rn *rng.RNG, br *bracket, run
 		span.End(obs.F("interrupted", true))
 		return st, true, nil
 	}
-	work.Compact(opts.MCMC.Workers)
+	work.Compact()
 	if opts.Verify {
 		check.MustInvariants(work, "refined sampled state")
 	}

@@ -309,14 +309,14 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 				res.Interrupted = true
 			}
 		} else {
-			cur := blockmodel.Identity(g, opts.MCMC.Workers)
+			cur := blockmodel.Identity(g)
 			if opts.Verify {
 				check.MustInvariants(cur, "initial identity state")
 			}
 			br.insert(&bracketEntry{bm: cur.Clone(), mdl: cur.MDL(), c: cur.NumNonEmptyBlocks()})
 		}
 	} else {
-		if err := restoreBracket(br, rs, g, opts.Merge.Workers); err != nil {
+		if err := restoreBracket(br, rs, g); err != nil {
 			return nil, err
 		}
 		if err := rn.UnmarshalBinary(rs.MasterRNG); err != nil {
@@ -420,7 +420,7 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 			res.Interrupted = true
 			break
 		}
-		work.Compact(opts.MCMC.Workers)
+		work.Compact()
 		if opts.Verify {
 			check.MustInvariants(work, "post-compaction invariants")
 		}

@@ -3,9 +3,11 @@ package sparse
 // FuzzSparseOps drives random operation sequences against a plain
 // map-based reference matrix and checks every read path of Matrix
 // (Get, RowNZ/ColNZ, row/column sums, Total, NonZeros, Clone, Equal)
-// against it, in both dense and sparse (hash) representations. The
-// transposed column index is the part most likely to drift — it is
-// updated separately from the row index on every Add.
+// against it, in both dense and sparse representations. The transposed
+// column index is the part most likely to drift — it is updated
+// separately from the row index on every Add. One op rebuilds the
+// matrix through FromColumns from the reference's entries, so later
+// Adds grow and shrink lists carved from one backing array.
 
 import (
 	"testing"
@@ -75,22 +77,28 @@ func compareFull(t *testing.T, m *Matrix, ref *refMatrix) {
 		if got, want := m.ColSum(i), ref.colSum(i); got != want {
 			t.Fatalf("ColSum(%d) = %d, want %d (transposed index drift)", i, got, want)
 		}
-		// Row iteration must visit each nonzero exactly once.
-		seen := map[int32]int64{}
+		// Row and column iteration must visit each nonzero once, in
+		// ascending order.
+		prev := int32(-1)
 		m.RowNZ(i, func(s int32, v int64) {
-			if _, dup := seen[s]; dup {
-				t.Fatalf("RowNZ(%d) visited column %d twice", i, s)
+			if s <= prev {
+				t.Fatalf("RowNZ(%d) visited column %d after %d", i, s, prev)
 			}
-			if v == 0 {
-				t.Fatalf("RowNZ(%d) yielded a zero at column %d", i, s)
+			if want := ref.get(i, int(s)); v == 0 || v != want {
+				t.Fatalf("RowNZ(%d) yielded M[%d][%d]=%d, want %d", i, i, s, v, want)
 			}
-			seen[s] = v
+			prev = s
 		})
-		for s, v := range seen {
-			if ref.get(i, int(s)) != v {
-				t.Fatalf("RowNZ(%d) yielded M[%d][%d]=%d, want %d", i, i, s, v, ref.get(i, int(s)))
+		prev = -1
+		m.ColNZ(i, func(r int32, v int64) {
+			if r <= prev {
+				t.Fatalf("ColNZ(%d) visited row %d after %d", i, r, prev)
 			}
-		}
+			if want := ref.get(int(r), i); v == 0 || v != want {
+				t.Fatalf("ColNZ(%d) yielded M[%d][%d]=%d, want %d", i, r, i, v, want)
+			}
+			prev = r
+		})
 	}
 	if got, want := m.Total(), ref.total(); got != want {
 		t.Fatalf("Total() = %d, want %d", got, want)
@@ -98,6 +106,33 @@ func compareFull(t *testing.T, m *Matrix, ref *refMatrix) {
 	if got, want := m.NonZeros(), len(ref.m); got != want {
 		t.Fatalf("NonZeros() = %d, want %d", got, want)
 	}
+}
+
+// fromRef rebuilds ref through FromColumns. Each column lists its rows
+// round-robin from the highest down, one unit at a time, so rows come
+// unsorted and repeated rows are not adjacent.
+func fromRef(ref *refMatrix) *Matrix {
+	start := []int{0}
+	var rows []int32
+	left := make([]int64, ref.c)
+	for s := 0; s < ref.c; s++ {
+		n := int64(0)
+		for r := range left {
+			left[r] = ref.get(r, s)
+			n += left[r]
+		}
+		for n > 0 {
+			for r := ref.c - 1; r >= 0; r-- {
+				if left[r] > 0 {
+					rows = append(rows, int32(r))
+					left[r]--
+					n--
+				}
+			}
+		}
+		start = append(start, len(rows))
+	}
+	return FromColumns(ref.c, start, rows)
 }
 
 func FuzzSparseOps(f *testing.F) {
@@ -126,7 +161,7 @@ func FuzzSparseOps(f *testing.F) {
 		for i := 0; i+2 < len(ops) && i < 90; i += 3 {
 			r := int(ops[i+1]) % c
 			s := int(ops[i+2]) % c
-			switch ops[i] % 4 {
+			switch ops[i] % 5 {
 			case 0, 1: // add a small delta, clipped to keep counts non-negative
 				d := int64(ops[i]>>2) - 16
 				if ref.get(r, s)+d < 0 {
@@ -147,6 +182,12 @@ func FuzzSparseOps(f *testing.F) {
 				if !m.Equal(clone) {
 					t.Fatal("fresh clone not Equal to source")
 				}
+			case 4: // rebuild in bulk; the later ops apply to the new matrix
+				m = fromRef(ref)
+				if m.IsDense() != (c <= DenseThreshold) {
+					t.Fatalf("FromColumns IsDense() = %v for c=%d", m.IsDense(), c)
+				}
+				compareFull(t, m, ref)
 			}
 		}
 		compareFull(t, m, ref)

@@ -113,6 +113,102 @@ func NewMatrix(c int) *Matrix {
 	return m
 }
 
+// FromColumns returns the C×C matrix of unit entries grouped by column:
+// rows[start[s]:start[s+1]] lists the row of every unit entry in column
+// s, in any order and with repeats, so M[r][s] is the number of times r
+// appears there. start has c+1 offsets. The storage mode is the one
+// NewMatrix picks for c.
+//
+// Sparse mode sorts nothing: a counting pass scatters the entries into
+// rows, visiting the columns in ascending order, so each row's columns
+// come out ascending with repeats adjacent, and the column lists are
+// the transpose of the finished rows. Each side's lists are carved from
+// one backing array sized to the nonzeros, with capacity capped at each
+// list's end, so an Add that grows a list reallocates it instead of
+// writing into the next.
+func FromColumns(c int, start []int, rows []int32) *Matrix {
+	m := NewMatrix(c)
+	if m.dense != nil {
+		for s := 0; s < c; s++ {
+			for _, r := range rows[start[s]:start[s+1]] {
+				m.dense[int(r)*c+s]++
+			}
+		}
+		return m
+	}
+
+	// at[r] starts as the offset of row r in byRow and ends as the offset
+	// of row r+1.
+	at := make([]int, c+1)
+	for _, r := range rows[start[0]:start[c]] {
+		at[r+1]++
+	}
+	for r := 1; r <= c; r++ {
+		at[r] += at[r-1]
+	}
+	byRow := make([]int32, at[c])
+	for s := 0; s < c; s++ {
+		for _, r := range rows[start[s]:start[s+1]] {
+			byRow[at[r]] = int32(s)
+			at[r]++
+		}
+	}
+
+	// Each run of equal columns in a row is one nonzero. Count them
+	// first, so both sides are sized to the nonzeros; colAt[s+1] counts
+	// column s's.
+	colAt := make([]int, c+1)
+	nnz, lo := 0, 0
+	for r := 0; r < c; r++ {
+		for i := lo; i < at[r]; i++ {
+			if i == lo || byRow[i] != byRow[i-1] {
+				colAt[byRow[i]+1]++
+				nnz++
+			}
+		}
+		lo = at[r]
+	}
+	keys := make([]int32, nnz)
+	vals := make([]int64, nnz)
+	k := 0
+	lo = 0
+	for r := 0; r < c; r++ {
+		a := k
+		for i := lo; i < at[r]; i++ {
+			if i == lo || byRow[i] != byRow[i-1] {
+				keys[k] = byRow[i]
+				k++
+			}
+			vals[k-1]++
+		}
+		m.rows[r] = nzlist{keys: keys[a:k:k], vals: vals[a:k:k]}
+		lo = at[r]
+	}
+
+	// colAt[s] starts as the offset of column s and ends as the offset
+	// of column s+1.
+	for s := 1; s <= c; s++ {
+		colAt[s] += colAt[s-1]
+	}
+	colKeys := make([]int32, nnz)
+	colVals := make([]int64, nnz)
+	for r := range m.rows {
+		row := &m.rows[r]
+		for i, s := range row.keys {
+			colKeys[colAt[s]] = int32(r)
+			colVals[colAt[s]] = row.vals[i]
+			colAt[s]++
+		}
+	}
+	lo = 0
+	for s := 0; s < c; s++ {
+		hi := colAt[s]
+		m.cols[s] = nzlist{keys: colKeys[lo:hi:hi], vals: colVals[lo:hi:hi]}
+		lo = hi
+	}
+	return m
+}
+
 // NumBlocks returns C.
 func (m *Matrix) NumBlocks() int { return m.c }
 

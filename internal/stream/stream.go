@@ -359,7 +359,7 @@ func (d *Detector) Ingest(batch []graph.Edge) error {
 	mcmcCfg := d.cfg.MCMC
 	mcmcCfg.Obs = bobs
 	mcmc.Run(bm, d.cfg.Algorithm, mcmcCfg, d.rn)
-	bm.Compact(d.cfg.MCMC.Workers)
+	bm.Compact()
 
 	// The incremental path agglomerates and refines but never splits
 	// blocks, so a partition that collapsed on an early, sparse prefix
@@ -496,7 +496,7 @@ func Restore(st *snapshot.StreamState) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore graph: %w", err)
 	}
-	bm, err := blockmodel.FromCheckpoint(g, st.Assignment, int(st.ModelC), st.MDL, cfg.MCMC.Workers)
+	bm, err := blockmodel.FromCheckpoint(g, st.Assignment, int(st.ModelC), st.MDL)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore model: %w", err)
 	}
