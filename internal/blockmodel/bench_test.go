@@ -42,16 +42,67 @@ func BenchmarkEvalMove(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalMoveWithHastings times a move's ΔS and Hastings
+// correction on random vertices and targets: a planted graph in dense
+// (C = 32) and sparse (C = 512) storage, and the degree-1 vertices of
+// the powerlaw-hub shape (about 8% of its vertices) in both modes.
 func BenchmarkEvalMoveWithHastings(b *testing.B) {
-	bm, r := benchModel(b, 2000, 32)
-	sc := NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := r.Intn(2000)
-		s := int32(r.Intn(32))
-		md := bm.EvalMove(v, s, bm.Assignment, sc)
-		_ = bm.HastingsCorrection(&md)
+	for _, bc := range []struct {
+		name   string
+		c      int
+		leaves bool
+	}{
+		{"dense/C=32", 32, false},
+		{"sparse/C=512", 512, false},
+		{"leaves/dense/C=8", 8, true},
+		{"leaves/sparse/C=512", 512, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var bm *Blockmodel
+			var r *rng.RNG
+			var vs []int
+			if bc.leaves {
+				bm, r = hubModel(b, 2000, bc.c)
+				for v := 0; v < bm.G.NumVertices(); v++ {
+					if bm.G.Degree(v) == 1 {
+						vs = append(vs, v)
+					}
+				}
+			} else {
+				bm, r = benchModel(b, 2000, bc.c)
+				for v := 0; v < bm.G.NumVertices(); v++ {
+					vs = append(vs, v)
+				}
+			}
+			sc := NewScratch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := vs[r.Intn(len(vs))]
+				s := int32(r.Intn(bc.c))
+				md := bm.EvalMove(v, s, bm.Assignment, sc)
+				_ = bm.HastingsCorrection(&md)
+			}
+		})
 	}
+}
+
+// hubModel builds the powerlaw-hub benchmark shape (a shallow degree
+// exponent, minimum degree 1 and hubs up to a quarter of the vertex
+// count) planted at c blocks.
+func hubModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
+	b.Helper()
+	g, truth, err := gen.Generate(gen.Spec{
+		Name: "plaw-hub", Vertices: v, Communities: c, MinDegree: 1, MaxDegree: v / 4,
+		Exponent: 1.8, Ratio: 4, Seed: 41,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bm, err := FromAssignment(g, truth, c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bm, rng.New(2)
 }
 
 func BenchmarkApplyMove(b *testing.B) {

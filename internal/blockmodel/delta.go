@@ -9,9 +9,11 @@ import "math"
 //	−L = −Σ_rs f(M_rs) + Σ_r f(d_out,r) + Σ_s f(d_in,s),
 //
 // because row r of M sums to d_out,r and column s to d_in,s. Moving
-// vertex v from block r to block s (or merging block r into s) changes
-// four block degrees and the cells listed in its edit list, so ΔS is a
-// sum over that list: O(distinct neighbour blocks of v) for a move and
+// vertex v from block r to block s changes four block degrees and the
+// cells joining r and s to v's neighbour blocks; merging block r into s
+// changes four block degrees and the cells of its edit list. ΔS is a
+// sum over the changed cells: O(distinct neighbour blocks of v) for a
+// move, in the same walk that computes its Hastings correction, and
 // O(nnz(row, col r)) for a merge, with no work per untouched entry.
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
@@ -19,20 +21,18 @@ import "math"
 // owned by the calling worker, built on generation-stamped blockVec
 // containers with O(1) reset and no hashing.
 
-// Scratch holds the reusable intermediates of move evaluation. Each
-// worker goroutine owns one Scratch; a Scratch must not be shared
-// concurrently. The MoveDelta returned by EvalMove aliases its Scratch
-// and is invalidated by the next EvalMove/EvalMerge call on the same
-// Scratch.
+// Scratch holds the reusable intermediates of move and merge
+// evaluation. Each worker goroutine owns one Scratch; a Scratch must
+// not be shared concurrently. The MoveDelta returned by EvalMove
+// aliases its vertex tallies, which ApplyMove reads, and is invalidated
+// by the next EvalMove/EvalMerge call on the same Scratch.
 type Scratch struct {
 	out, in                blockVec // vertex→block edge tallies
 	rowR, rowS, colR, colS blockVec // sparse-mode lookup tables of rows/cols r, s
 	dense                  []int64  // M's backing array in dense mode, else nil
 	c                      int      // block count of the loaded cells
 	r, s                   int32    // the blocks whose cells are loaded
-	cornerD                [4]int64 // summed edits of M[r][r], M[r][s], M[s][r], M[s][s]
-	edits                  []edit
-	wFwd, wBwd             blockVec // Hastings neighbour weights
+	edits                  []edit   // a merge's block-matrix adjustments
 }
 
 // NewScratch returns an empty Scratch ready for use.
@@ -55,36 +55,15 @@ type VertexCounts struct {
 	SelfLoops int64     // #edges v→v
 	KOut      int64     // total out-degree of v (self-loops included)
 	KIn       int64     // total in-degree of v (self-loops included)
-
-	// Degree-1 vertices skip the blockVec tallies entirely (EvalMove's
-	// fast path): out/in stay nil and deg1T names the single neighbour
-	// block, with KOut/KIn telling the edge direction.
-	deg1T int32
 }
 
 // OutTo returns the number of v's out-edges whose head lies in block t
 // (excluding self-loops). Exposed for tests.
-func (vc VertexCounts) OutTo(t int32) int64 {
-	if vc.out == nil {
-		if vc.KOut == 1 && t == vc.deg1T {
-			return 1
-		}
-		return 0
-	}
-	return vc.out.get(t)
-}
+func (vc VertexCounts) OutTo(t int32) int64 { return vc.out.get(t) }
 
 // InFrom returns the number of v's in-edges whose tail lies in block t
 // (excluding self-loops). Exposed for tests.
-func (vc VertexCounts) InFrom(t int32) int64 {
-	if vc.in == nil {
-		if vc.KIn == 1 && t == vc.deg1T {
-			return 1
-		}
-		return 0
-	}
-	return vc.in.get(t)
-}
+func (vc VertexCounts) InFrom(t int32) int64 { return vc.in.get(t) }
 
 // CountVertex computes VertexCounts for v under the membership vector b,
 // using sc's containers. b may differ from bm.Assignment (the
@@ -115,22 +94,6 @@ func (bm *Blockmodel) CountVertex(v int, b []int32, sc *Scratch) VertexCounts {
 type edit struct {
 	i, j  int32
 	delta int64
-}
-
-// moveEdits fills sc.edits with the block-matrix adjustments for moving a
-// vertex with counts vc from block r to block s. All edits lie in rows
-// r,s and columns r,s.
-func (sc *Scratch) moveEdits(vc VertexCounts, r, s int32) {
-	sc.edits = sc.edits[:0]
-	vc.out.iterate(func(t int32, c int64) {
-		sc.edits = append(sc.edits, edit{r, t, -c}, edit{s, t, c})
-	})
-	vc.in.iterate(func(t int32, c int64) {
-		sc.edits = append(sc.edits, edit{t, r, -c}, edit{t, s, c})
-	})
-	if vc.SelfLoops > 0 {
-		sc.edits = append(sc.edits, edit{r, r, -vc.SelfLoops}, edit{s, s, vc.SelfLoops})
-	}
 }
 
 // mergeEdits fills sc.edits with the block-matrix adjustments for merging
@@ -191,9 +154,20 @@ func (sc *Scratch) cell(i, j int32) int64 {
 	return sc.colS.get(i)
 }
 
-// corner returns the slot of cell (i, j) in sc.cornerD — 0 for (r, r),
-// 1 for (r, s), 2 for (s, r), 3 for (s, s) — or -1 when i or j lies
-// outside {r, s}.
+// cross returns the four loaded cells M[r][t], M[s][t], M[t][r] and
+// M[t][s] that a move between r and s reads for a neighbour block t,
+// which may itself be r or s.
+func (sc *Scratch) cross(t int32) (rt, st, tr, ts int64) {
+	if d := sc.dense; d != nil {
+		c, r, s, t := sc.c, int(sc.r), int(sc.s), int(t)
+		return d[r*c+t], d[s*c+t], d[t*c+r], d[t*c+s]
+	}
+	return sc.rowR.get(t), sc.rowS.get(t), sc.colR.get(t), sc.colS.get(t)
+}
+
+// corner returns the slot of cell (i, j) in a corner-edit array — 0 for
+// (r, r), 1 for (r, s), 2 for (s, r), 3 for (s, s) — or -1 when i or j
+// lies outside {r, s}.
 func (sc *Scratch) corner(i, j int32) int {
 	if (i != sc.r && i != sc.s) || (j != sc.r && j != sc.s) {
 		return -1
@@ -215,23 +189,29 @@ func (sc *Scratch) corner(i, j int32) int {
 //	Σ_{4 changed degrees} [f(d′) − f(d)] − Σ_{changed cells} [f(m′) − f(m)].
 //
 // A cell outside the 2×2 corner of {r, s} occurs at most once in the
-// edit list. A corner cell can be hit by several edits (out-edges into r
-// or s, in-edges from r or s, self-loops), so its deltas are summed into
-// sc.cornerD before f is taken.
+// edit list. A corner cell can be hit by several edits, so its deltas
+// are summed before f is taken.
 func (bm *Blockmodel) deltaS(kOut, kIn int64, sc *Scratch) float64 {
-	sc.cornerD = [4]int64{}
+	var cornerD [4]int64
 	var cells float64
 	for _, e := range sc.edits {
 		if k := sc.corner(e.i, e.j); k >= 0 {
-			sc.cornerD[k] += e.delta
+			cornerD[k] += e.delta
 			continue
 		}
 		m := sc.cell(e.i, e.j)
 		cells += xlogx(m+e.delta) - xlogx(m)
 	}
+	return bm.closeDelta(cells, &cornerD, kOut, kIn, sc)
+}
+
+// closeDelta finishes ΔS from the summed terms of the cells outside the
+// corner: it adds the corner cells' terms, in the order (r, r), (r, s),
+// (s, r), (s, s), and the four degree terms.
+func (bm *Blockmodel) closeDelta(cells float64, cornerD *[4]int64, kOut, kIn int64, sc *Scratch) float64 {
 	r, s := sc.r, sc.s
 	for k, ij := range [4][2]int32{{r, r}, {r, s}, {s, r}, {s, s}} {
-		if d := sc.cornerD[k]; d != 0 {
+		if d := cornerD[k]; d != 0 {
 			m := sc.cell(ij[0], ij[1])
 			cells += xlogx(m+d) - xlogx(m)
 		}
@@ -262,54 +242,126 @@ func xlogx(x int64) float64 {
 	return float64(x) * math.Log(float64(x))
 }
 
-// MoveDelta holds the result of evaluating a proposed vertex move. It
-// aliases the Scratch it was evaluated with; commit it (ApplyMove) or
-// discard it before the next evaluation on the same Scratch.
+// MoveDelta holds the result of evaluating a proposed vertex move: ΔS
+// and the Hastings correction, both from one walk over v's neighbour
+// blocks. It aliases the vertex tallies of the Scratch it was evaluated
+// with; commit it (ApplyMove) or discard it before the next evaluation
+// on the same Scratch.
 type MoveDelta struct {
 	V          int     // the vertex
 	From, To   int32   // blocks r → s
 	DeltaS     float64 // change in description length (likelihood part); negative is better
 	EmptiesSrc bool    // the move would leave block r empty
+	hastings   float64 // p(s→r | b′) / p(r→s | b); 1 when r == s
 	counts     VertexCounts
-	sc         *Scratch
 }
 
-// EvalMove computes the likelihood ΔS for moving v from its current block
-// (under membership b) to block s, without mutating the model. b must be
-// the membership M was counted from: every engine passes bm.Assignment,
-// and the asynchronous engines record accepted moves in a private copy
-// until the next rebuild.
+// EvalMove computes the likelihood ΔS and the Hastings correction for
+// moving v from its current block (under membership b) to block s,
+// without mutating the model. b must be the membership M was counted
+// from: every engine passes bm.Assignment, and the asynchronous engines
+// record accepted moves in a private copy until the next rebuild.
 func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta {
 	r := b[v]
-	md := MoveDelta{V: v, From: r, To: s, sc: sc}
+	md := MoveDelta{V: v, From: r, To: s, hastings: 1}
 	if r == s {
 		return md
 	}
-	if bm.G.Degree(v) == 1 {
-		// Degree-1 fast path: the single incident edge (necessarily not a
-		// self-loop, which would count twice) touches one neighbour block,
-		// so the edit list is two entries and no per-block tally is
-		// needed. The entries match what CountVertex+moveEdits would
-		// produce, so ΔS is bit-identical to the general path's.
-		var t int32
-		sc.edits = sc.edits[:0]
-		if out := bm.G.OutNeighbors(v); len(out) == 1 {
-			t = b[out[0]]
-			md.counts = VertexCounts{KOut: 1, deg1T: t}
-			sc.edits = append(sc.edits, edit{r, t, -1}, edit{s, t, 1})
-		} else {
-			t = b[bm.G.InNeighbors(v)[0]]
-			md.counts = VertexCounts{KIn: 1, deg1T: t}
-			sc.edits = append(sc.edits, edit{t, r, -1}, edit{t, s, 1})
-		}
-	} else {
-		md.counts = bm.CountVertex(v, b, sc)
-		sc.moveEdits(md.counts, r, s)
-	}
+	md.counts = bm.CountVertex(v, b, sc)
 	bm.loadCells(r, s, sc)
-	md.DeltaS = bm.deltaS(md.counts.KOut, md.counts.KIn, sc)
+	md.DeltaS, md.hastings = bm.moveTerms(md.counts, sc)
 	md.EmptiesSrc = bm.Sizes[r] == 1
 	return md
+}
+
+// moveTerms returns ΔS and the Hastings correction for moving a vertex
+// with tallies vc from block sc.r to sc.s, in one walk over its
+// neighbour blocks: the keys of vc.out, then those of vc.in. A block t
+// costs the four cells of cross(t), which feed three running sums:
+//
+//   - ΔS's terms for the cells the move changes outside the 2×2 corner
+//     of {r, s}, each once: M[r][t] and M[s][t] for an out-edge block,
+//     M[t][r] and M[t][s] for an in-edge block.
+//   - pFwd and pBwd (see HastingsCorrection), one term per block, taken
+//     the first time t appears, with weight w_t = out[t] + in[t].
+//
+// The corner cells' summed changes (cornerD) are O(1) in the tallies,
+// so the post-move cells of t ∈ {r, s} are read in place, and ΔS adds
+// the corner's terms after the walk. A self-loop attaches v to its own
+// block: 2·SelfLoops joins r's weight in pFwd and s's in pBwd, as a
+// last term when that block is not a neighbour block. The order of
+// every sum is part of the chain's output: TestEvalMoveMatchesTwoPassBits
+// pins it bit for bit.
+func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
+	r, s := sc.r, sc.s
+	out, in, sl := vc.out, vc.in, vc.SelfLoops
+	outR, outS, inR, inS := out.get(r), out.get(s), in.get(r), in.get(s)
+	// The changes of M[r][r], M[r][s], M[s][r] and M[s][s].
+	cornerD := [4]int64{-outR - inR - sl, -outS + inR, outR - inS, outS + inS + sl}
+	k := vc.KOut + vc.KIn
+	kv, cf := float64(k), float64(bm.C)
+	// prob is one term of a proposal probability: weight w, the two
+	// cells m joining t to the proposed block, and t's degree d.
+	prob := func(w, m, d int64) float64 {
+		return (float64(w) / kv) * (float64(m) + 1) / (float64(d) + cf)
+	}
+	var cells, pFwd, pBwd float64
+	// cornerProbs adds the terms of neighbour block t ∈ {r, s} at weight
+	// w to pFwd and pBwd; pBwd's cells are the post-move M′[t][r] and
+	// M′[r][t].
+	cornerProbs := func(t int32, w, rt, st, tr, ts int64) {
+		if t == r {
+			pFwd += prob(w+2*sl, ts+st, bm.DTot[r])
+			pBwd += prob(w, tr+cornerD[0]+rt+cornerD[0], bm.DTot[r]-k)
+		} else {
+			pFwd += prob(w, ts+st, bm.DTot[s])
+			pBwd += prob(w+2*sl, tr+cornerD[2]+rt+cornerD[1], bm.DTot[s]+k)
+		}
+	}
+	for _, t := range out.keys {
+		c := out.val[t]
+		rt, st, tr, ts := sc.cross(t)
+		inT := in.get(t)
+		if t == r || t == s {
+			cornerProbs(t, c+inT, rt, st, tr, ts)
+			continue
+		}
+		cells += xlogx(rt-c) - xlogx(rt)
+		cells += xlogx(st+c) - xlogx(st)
+		pFwd += prob(c+inT, ts+st, bm.DTot[t])
+		pBwd += prob(c+inT, tr-inT+rt-c, bm.DTot[t])
+	}
+	for _, t := range in.keys {
+		c := in.val[t]
+		rt, st, tr, ts := sc.cross(t)
+		first := out.get(t) == 0
+		if t == r || t == s {
+			if first {
+				cornerProbs(t, c, rt, st, tr, ts)
+			}
+			continue
+		}
+		cells += xlogx(tr-c) - xlogx(tr)
+		cells += xlogx(ts+c) - xlogx(ts)
+		if first {
+			pFwd += prob(c, ts+st, bm.DTot[t])
+			pBwd += prob(c, tr-c+rt, bm.DTot[t])
+		}
+	}
+	if sl > 0 && outR+inR == 0 {
+		_, sr, _, rs := sc.cross(r)
+		pFwd += prob(2*sl, rs+sr, bm.DTot[r])
+	}
+	if sl > 0 && outS+inS == 0 {
+		rs, _, sr, _ := sc.cross(s)
+		pBwd += prob(2*sl, sr+cornerD[2]+rs+cornerD[1], bm.DTot[s]+k)
+	}
+
+	dS = bm.closeDelta(cells, &cornerD, vc.KOut, vc.KIn, sc)
+	if pFwd <= 0 {
+		return dS, 1
+	}
+	return dS, pBwd / pFwd
 }
 
 // ApplyMove commits a previously evaluated move to the model, updating
@@ -320,14 +372,26 @@ func (bm *Blockmodel) ApplyMove(md MoveDelta) {
 	if md.From == md.To {
 		return
 	}
-	for _, e := range md.sc.edits {
-		bm.M.Add(int(e.i), int(e.j), e.delta)
-	}
 	r, s := md.From, md.To
-	bm.DOut[r] -= md.counts.KOut
-	bm.DOut[s] += md.counts.KOut
-	bm.DIn[r] -= md.counts.KIn
-	bm.DIn[s] += md.counts.KIn
+	vc := md.counts
+	for _, t := range vc.out.keys {
+		c := vc.out.val[t]
+		bm.M.Add(int(r), int(t), -c)
+		bm.M.Add(int(s), int(t), c)
+	}
+	for _, t := range vc.in.keys {
+		c := vc.in.val[t]
+		bm.M.Add(int(t), int(r), -c)
+		bm.M.Add(int(t), int(s), c)
+	}
+	if vc.SelfLoops > 0 {
+		bm.M.Add(int(r), int(r), -vc.SelfLoops)
+		bm.M.Add(int(s), int(s), vc.SelfLoops)
+	}
+	bm.DOut[r] -= vc.KOut
+	bm.DOut[s] += vc.KOut
+	bm.DIn[r] -= vc.KIn
+	bm.DIn[s] += vc.KIn
 	bm.DTot[r] = bm.DOut[r] + bm.DIn[r]
 	bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
 	bm.Sizes[r]--

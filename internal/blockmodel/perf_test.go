@@ -207,8 +207,8 @@ func TestScratchRetainedCapacityBounded(t *testing.T) {
 	smallC := 16
 	small := mustFromAssignment(t, g, moduloAssign(n, smallC), smallC)
 	for i := 0; i < 200; i++ {
-		// Vertex 0 carries the self-loop, so the wBwd container is
-		// exercised (and shrunk) too.
+		// Vertex 0 carries the self-loop, so the self-loop terms of the
+		// walk are exercised too.
 		v := 0
 		if i%2 == 1 {
 			v = rn.Intn(n)
@@ -227,7 +227,7 @@ func TestScratchRetainedCapacityBounded(t *testing.T) {
 
 func scratchMaxCap(sc *Scratch) int {
 	m := 0
-	for _, b := range []*blockVec{&sc.out, &sc.in, &sc.rowR, &sc.rowS, &sc.colR, &sc.colS, &sc.wFwd, &sc.wBwd} {
+	for _, b := range []*blockVec{&sc.out, &sc.in, &sc.rowR, &sc.rowS, &sc.colR, &sc.colS} {
 		if c := b.retainedCap(); c > m {
 			m = c
 		}
@@ -235,13 +235,12 @@ func scratchMaxCap(sc *Scratch) int {
 	return m
 }
 
-// TestDegreeOneFastPath checks EvalMove's and HastingsCorrection's
-// degree-1 short-circuit against ground truth: ΔS against a full
-// recomputation, and the correction against the textbook single-term
-// formula evaluated on a rebuilt post-move model. Out-edge and in-edge
-// leaves are covered, with the neighbour's block landing on r, on s and
-// elsewhere.
-func TestDegreeOneFastPath(t *testing.T) {
+// TestDegreeOneMove checks EvalMove on degree-1 vertices against ground
+// truth: ΔS against a full recomputation, and the correction against
+// the textbook single-term formula evaluated on a rebuilt post-move
+// model. Out-edge and in-edge leaves are covered, with the neighbour's
+// block landing on r, on s and elsewhere.
+func TestDegreeOneMove(t *testing.T) {
 	// A line 0→1→2→3 plus padding edges among upper vertices: vertex 0
 	// (out-degree 1) and vertex 3 (in-degree 1) are the leaves.
 	edges := []graph.Edge{

@@ -123,128 +123,21 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 	return chosen
 }
 
-// HastingsCorrection computes p(s→r | b') / p(r→s | b) for an evaluated
+// HastingsCorrection returns p(s→r | b′) / p(r→s | b) for an evaluated
 // move, the factor that keeps the Metropolis-Hastings chain reversible
-// under the neighbour-guided proposal. It must be called on the most
-// recent MoveDelta evaluated on its Scratch.
+// under the neighbour-guided proposal. EvalMove computes it in the same
+// walk over v's neighbour blocks as ΔS (see moveTerms), so this only
+// reads it; a move with r == s gives 1.
 //
 // Following Peixoto (2014):
 //
 //	p(r→s) = Σ_t (w_t / k_v) · (M[t][s] + M[s][t] + 1) / (d_t + C)
 //
 // where t ranges over the blocks of v's neighbours, w_t is the number of
-// edges between v and block t, and the backward probability uses the
-// post-move matrix and degrees. Every entry read lies in row or column r
-// or s, so it comes from the cells EvalMove loaded, with the move's
-// edits folded in for the post-move ones (movedCells) — no binary
-// searches into M. Degree-1 vertices short-circuit to single-term
-// probability sums.
+// edge endpoints joining v to block t (a self-loop gives v's own block
+// two), and the backward probability uses the post-move matrix and
+// degrees. Every entry read lies in row or column r or s, so it comes
+// from the cells EvalMove loaded.
 func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
-	r, s := md.From, md.To
-	if r == s {
-		return 1
-	}
-	cf := float64(bm.C)
-	sc := md.sc
-	vc := md.counts
-
-	if vc.out == nil && vc.in == nil {
-		// Degree-1 fast path (matching EvalMove's): one neighbour block t
-		// with weight w_t = k_v = 1, so each probability is its single
-		// term. 1·x and x/1 are exact, so this computes bit-identically
-		// to the general loops below.
-		if vc.KOut+vc.KIn == 0 {
-			return 1
-		}
-		t := vc.deg1T
-		pFwd := (float64(sc.cell(t, s)+sc.cell(s, t)) + 1) / (float64(bm.DTot[t]) + cf)
-		mtr, mrt := sc.movedCells(t, vc)
-		dt := bm.DTot[t]
-		switch t {
-		case r:
-			dt = bm.DTot[r] - vc.KOut - vc.KIn
-		case s:
-			dt = bm.DTot[s] + vc.KOut + vc.KIn
-		}
-		pBwd := (float64(mtr+mrt) + 1) / (float64(dt) + cf)
-		if pFwd <= 0 {
-			return 1
-		}
-		return pBwd / pFwd
-	}
-
-	kv := float64(vc.KOut + vc.KIn)
-	if kv == 0 {
-		return 1
-	}
-
-	// Combined neighbour-block weights. Self-loop edges attach v to its
-	// own block: r before the move, s after.
-	sc.wFwd.reset(bm.C)
-	wFwd := &sc.wFwd
-	for _, t := range vc.out.keys {
-		if c := vc.out.val[t]; c != 0 {
-			wFwd.add(t, c)
-		}
-	}
-	for _, t := range vc.in.keys {
-		if c := vc.in.val[t]; c != 0 {
-			wFwd.add(t, c)
-		}
-	}
-	wBwd := wFwd
-	if vc.SelfLoops > 0 {
-		sc.wBwd.reset(bm.C)
-		for _, t := range wFwd.keys {
-			if c := wFwd.val[t]; c != 0 {
-				sc.wBwd.add(t, c)
-			}
-		}
-		wBwd = &sc.wBwd
-		wFwd.add(r, 2*vc.SelfLoops)
-		wBwd.add(s, 2*vc.SelfLoops)
-	}
-
-	var pFwd, pBwd float64
-	for _, t := range wFwd.keys {
-		w := wFwd.val[t]
-		if w == 0 {
-			continue
-		}
-		mts := sc.cell(t, s)
-		mst := sc.cell(s, t)
-		pFwd += (float64(w) / kv) * (float64(mts+mst) + 1) / (float64(bm.DTot[t]) + cf)
-	}
-	for _, t := range wBwd.keys {
-		w := wBwd.val[t]
-		if w == 0 {
-			continue
-		}
-		mtr, mrt := sc.movedCells(t, vc)
-		dt := bm.DTot[t]
-		switch t {
-		case r:
-			dt = bm.DTot[r] - vc.KOut - vc.KIn
-		case s:
-			dt = bm.DTot[s] + vc.KOut + vc.KIn
-		}
-		pBwd += (float64(w) / kv) * (float64(mtr+mrt) + 1) / (float64(dt) + cf)
-	}
-	if pFwd <= 0 {
-		return 1
-	}
-	return pBwd / pFwd
-}
-
-// movedCells returns the post-move cells M′[t][r] and M′[r][t] of the
-// move with counts vc evaluated on sc. For t in {r, s} both are corner
-// cells, which take the summed corner edits; otherwise the only edits of
-// these cells remove v's in-edges from t and its out-edges to t.
-func (sc *Scratch) movedCells(t int32, vc VertexCounts) (mtr, mrt int64) {
-	r := sc.r
-	mtr, mrt = sc.cell(t, r), sc.cell(r, t)
-	if k := sc.corner(t, r); k >= 0 {
-		return mtr + sc.cornerD[k], mrt + sc.cornerD[sc.corner(r, t)]
-	}
-	return mtr - vc.InFrom(t), mrt - vc.OutTo(t)
+	return md.hastings
 }

@@ -588,10 +588,3 @@ func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, ow
 	}
 	return serial, async
 }
-
-// Describe returns a short human-readable summary of a phase result.
-func (st PhaseStats) Describe() string {
-	return fmt.Sprintf("%s ranks=%d sweeps=%d accepts=%d/%d traffic=%dB comm/sweep=%s ΔS=%.1f",
-		st.Mode, st.Ranks, st.Sweeps, st.Accepts, st.Proposals,
-		st.TrafficBytes, st.CommPerSweep(), st.FinalS-st.InitialS)
-}

@@ -430,10 +430,6 @@ func (t *Transport) TrafficBytes() int64 { return t.bytes.Value() }
 // during connection establishment.
 func (t *Transport) DialRetries() int64 { return t.retries.Value() }
 
-// DeadlineHits returns how many send/recv operations failed on their
-// per-operation I/O deadline.
-func (t *Transport) DeadlineHits() int64 { return t.deadline.Value() }
-
 // countTimeout classifies an I/O error, bumping the deadline counter
 // when the failure was a per-operation timeout.
 func (t *Transport) countTimeout(err error) error {

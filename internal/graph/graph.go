@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -38,8 +39,8 @@ type Graph struct {
 // New builds a Graph with n vertices from the given edge list.
 // Edges referencing vertices outside [0, n) cause an error.
 func New(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d outside the int32 id range", n)
 	}
 	g := &Graph{
 		n:      n,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -29,24 +30,12 @@ func ReadEdgeList(r io.Reader, n int) (*Graph, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("graph: line %d: expected at least 2 fields, got %q", line, text)
 		}
-		src, err := strconv.Atoi(fields[0])
+		src, dst, err := parseEndpoints(fields)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad src %q: %w", line, fields[0], err)
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
 		}
-		dst, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad dst %q: %w", line, fields[1], err)
-		}
-		if src < 0 || dst < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", line)
-		}
-		if src > maxID {
-			maxID = src
-		}
-		if dst > maxID {
-			maxID = dst
-		}
-		edges = append(edges, Edge{Src: int32(src), Dst: int32(dst)})
+		maxID = max(maxID, int(src), int(dst))
+		edges = append(edges, Edge{Src: src, Dst: dst})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan: %w", err)
@@ -79,32 +68,20 @@ func ReadWeightedEdgeList(r io.Reader, n int) (*Graph, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("graph: line %d: expected 'src dst weight', got %q", line, text)
 		}
-		src, err := strconv.Atoi(fields[0])
+		src, dst, err := parseEndpoints(fields)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad src %q: %w", line, fields[0], err)
-		}
-		dst, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad dst %q: %w", line, fields[1], err)
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
 		}
 		w, err := strconv.Atoi(fields[2])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", line, fields[2], err)
 		}
-		if src < 0 || dst < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", line)
-		}
 		if w < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative weight %d", line, w)
 		}
-		if src > maxID {
-			maxID = src
-		}
-		if dst > maxID {
-			maxID = dst
-		}
+		maxID = max(maxID, int(src), int(dst))
 		for i := 0; i < w; i++ {
-			edges = append(edges, Edge{Src: int32(src), Dst: int32(dst)})
+			edges = append(edges, Edge{Src: src, Dst: dst})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -114,6 +91,24 @@ func ReadWeightedEdgeList(r io.Reader, n int) (*Graph, error) {
 		n = maxID + 1
 	}
 	return New(n, edges)
+}
+
+// parseEndpoints parses the "src dst" fields of an edge-list line.
+// Vertex ids are int32, so an id beyond that range is an error rather
+// than a wrapped value.
+func parseEndpoints(fields []string) (src, dst int32, err error) {
+	var ids [2]int32
+	for k, name := range [2]string{"src", "dst"} {
+		id, err := strconv.ParseInt(fields[k], 10, 32)
+		if err != nil {
+			return 0, 0, fmt.Errorf("bad %s %q: %w", name, fields[k], err)
+		}
+		if id < 0 {
+			return 0, 0, fmt.Errorf("negative vertex id %d", id)
+		}
+		ids[k] = int32(id)
+	}
+	return ids[0], ids[1], nil
 }
 
 // WriteEdgeList writes the graph as "src dst" lines.
@@ -163,13 +158,16 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		if _, err := fmt.Sscan(text, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("graph: bad MatrixMarket size line %q: %w", text, err)
 		}
+		if rows < 0 || cols < 0 || nnz < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: MatrixMarket size line %q out of range", text)
+		}
 		break
 	}
-	n := rows
-	if cols > n {
-		n = cols
-	}
-	edges := make([]Edge, 0, nnz)
+	n := max(rows, cols)
+	// nnz is only a claim until the entry lines are counted, so the
+	// entries grow the slice as they are read.
+	var edges []Edge
+	entries := 0
 	for sc.Scan() {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || text[0] == '%' {
@@ -190,6 +188,7 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		if i < 1 || i > n || j < 1 || j > n {
 			return nil, fmt.Errorf("graph: MatrixMarket entry (%d,%d) out of range", i, j)
 		}
+		entries++
 		edges = append(edges, Edge{Src: int32(i - 1), Dst: int32(j - 1)})
 		if symmetric && i != j {
 			edges = append(edges, Edge{Src: int32(j - 1), Dst: int32(i - 1)})
@@ -197,6 +196,9 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan: %w", err)
+	}
+	if entries != nnz {
+		return nil, fmt.Errorf("graph: MatrixMarket file has %d entries, its size line says %d", entries, nnz)
 	}
 	return New(n, edges)
 }

@@ -38,6 +38,29 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListIDOutOfRange: a vertex id beyond int32 is an error,
+// not a wrapped id (2^32 would read as vertex 0). Id 2^31−1 parses, but
+// the vertex count 2^31 it implies does not fit the int32 ids.
+func TestReadEdgeListIDOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		n  int
+	}{
+		{"0 4294967296\n", 10},
+		{"0 4294967296\n", 0},
+		{"4294967296 1\n", 0},
+		{"0 2147483648\n", 0},
+		{"0 2147483647\n", 0},
+	} {
+		if g, err := ReadEdgeList(strings.NewReader(tc.in), tc.n); err == nil {
+			t.Errorf("input %q (n=%d) accepted as V=%d E=%d", tc.in, tc.n, g.NumVertices(), g.NumEdges())
+		}
+		if _, err := ReadWeightedEdgeList(strings.NewReader(strings.TrimSpace(tc.in)+" 1\n"), tc.n); err == nil {
+			t.Errorf("weighted input %q (n=%d) accepted", tc.in, tc.n)
+		}
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := MustNew(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 0}})
 	var buf bytes.Buffer
@@ -100,6 +123,19 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix array real general\n2 2\n",
 		"%%MatrixMarket matrix coordinate pattern skew-symmetric\n2 2 1\n1 2\n",
 		"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n5 1\n",
+		// Size lines out of range: a negative or huge nnz, a negative
+		// dimension, a dimension beyond int32.
+		"%%MatrixMarket matrix coordinate pattern general\n2 2 -1\n",
+		"%%MatrixMarket matrix coordinate pattern general\n2 2 1000000000000000\n1 2\n",
+		"%%MatrixMarket matrix coordinate pattern general\n-3 3 0\n",
+		"%%MatrixMarket matrix coordinate pattern general\n3 -3 0\n",
+		"%%MatrixMarket matrix coordinate pattern general\n4294967296 1 0\n",
+		"%%MatrixMarket matrix coordinate pattern general\n1 4294967296 0\n",
+		// The entry count must match nnz; a symmetric file counts its
+		// stored entries, not the mirrored edges.
+		"%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n",
+		"%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2\n2 3\n",
+		"%%MatrixMarket matrix coordinate pattern symmetric\n2 2 2\n1 2\n",
 	}
 	for i, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {

@@ -605,27 +605,6 @@ func (s *Server) checkpointGraph(g *graphState) error {
 	return s.policy.WriteStream(g.name, st)
 }
 
-// CheckpointAll durably writes every graph's current state; the first
-// error is returned after all graphs were attempted.
-func (s *Server) CheckpointAll() error {
-	s.mu.RLock()
-	graphs := make([]*graphState, 0, len(s.graphs))
-	for _, g := range s.graphs {
-		graphs = append(graphs, g)
-	}
-	s.mu.RUnlock()
-	var firstErr error
-	for _, g := range graphs {
-		if err := s.checkpointGraph(g); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Ready reports whether the service can take traffic: Shutdown has
 // not begun, the registry is restored, and every registered graph's
 // ingest worker is running. GET /readyz is this predicate over HTTP —
