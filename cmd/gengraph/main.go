@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -16,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/blockmodel"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -90,11 +92,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		for v, c := range truth {
-			if _, err := fmt.Fprintf(f, "%d\t%d\n", v, c); err != nil {
-				log.Fatal(err)
-			}
+		if err := errors.Join(blockmodel.WriteAssignment(f, truth), f.Close()); err != nil {
+			log.Fatal(err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -269,11 +270,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		for v, c := range best.Best.Assignment {
-			if _, err := fmt.Fprintf(f, "%d\t%d\n", v, c); err != nil {
-				log.Fatal(err)
-			}
+		if err := errors.Join(blockmodel.WriteAssignment(f, best.Best.Assignment), f.Close()); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outPath)
 	}

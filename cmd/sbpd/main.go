@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/blockmodel"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -208,8 +209,5 @@ func runOffline(configPath string, batchFiles []string) error {
 	}
 	log.Printf("replayed %d batches: %d vertices, %d edges, %d communities, MDL %.4f",
 		snap.Batches, snap.Vertices, snap.Edges, snap.Blocks, snap.MDL)
-	for v, c := range snap.Assignment {
-		fmt.Printf("%d\t%d\n", v, c)
-	}
-	return nil
+	return blockmodel.WriteAssignment(os.Stdout, snap.Assignment)
 }

@@ -4,8 +4,8 @@
 // trade-off as the cluster grows.
 //
 // Every rank owns a vertex partition and a private blockmodel replica;
-// the only per-sweep communication is the membership allgather, whose
-// volume this example reports.
+// per sweep the ranks exchange only their accepted moves (and rank 0's
+// V* moves in H-SBP mode), whose volume this example reports.
 //
 //	go run ./examples/distributed
 package main
@@ -65,6 +65,6 @@ func main() {
 				ranks, mode, st.Sweeps, nmi, st.TrafficBytes/1024)
 		}
 	}
-	fmt.Println("\ntraffic grows with the cluster while quality holds — the membership")
-	fmt.Println("allgather is the only per-sweep exchange (see internal/dist).")
+	fmt.Println("\ntraffic grows with the cluster while quality holds — ranks exchange")
+	fmt.Println("only accepted moves, 8 bytes each, once per sweep (see internal/dist).")
 }

@@ -128,12 +128,13 @@ func BenchmarkProposeVertexMove(b *testing.B) {
 	}
 }
 
-// BenchmarkRebuild times RebuildFrom's two paths on the same rebuilds,
+// BenchmarkRebuild times ApplyMoves' two paths on the same rebuilds,
 // each iteration alternating between two memberships that differ in the
-// given share of vertices: incremental is the moved-vertex update,
-// recount the full recount. Dense mode is the planted C=32 partition;
-// sparse mode a uniform random one at C=V/2, the shape of an early
-// search iteration. recountShare cites where the paths cross.
+// given share of vertices: incremental applies the move list one move
+// at a time, recount recounts everything. Dense mode is the planted
+// C=32 partition; sparse mode a uniform random one at C=V/2, the shape
+// of an early search iteration. recountShare cites where the paths
+// cross.
 func BenchmarkRebuild(b *testing.B) {
 	const v = 5000
 	for _, mode := range []struct {
@@ -160,12 +161,13 @@ func BenchmarkRebuild(b *testing.B) {
 						b.Fatal(err)
 					}
 					memberships := [2][]int32{a, moved}
+					lists := [2][][]int32{{diffMoves(moved, a)}, {diffMoves(a, moved)}}
+					sc := NewScratch()
 					step := func(i int) {
-						next := memberships[(i+1)%2]
 						if path == "incremental" {
-							bm.moveVertices(next)
+							bm.applyEach(lists[(i+1)%2], sc)
 						} else {
-							copy(bm.Assignment, next)
+							copy(bm.Assignment, memberships[(i+1)%2])
 							bm.rebuildCounts()
 						}
 					}

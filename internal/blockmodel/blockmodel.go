@@ -129,8 +129,8 @@ func (bm *Blockmodel) rebuildCounts() {
 }
 
 // recountShare is the share of the 2E edge endpoints, counted at the
-// vertices whose block changed, above which RebuildFrom recounts every
-// count instead of re-bucketing the moved vertices' edges.
+// vertices whose block changed, above which ApplyMoves recounts every
+// count instead of applying the moves one by one.
 // BenchmarkRebuild times both paths on 5,000 vertices with 1% to 50% of
 // them moved. On a 2-vCPU linux-amd64 host they cross near 5% moved in
 // sparse mode (C=V/2: a recount takes about 1.9 ms, the update 0.43 ms
@@ -142,63 +142,70 @@ func (bm *Blockmodel) rebuildCounts() {
 // minimum over thresholds, and 4% to 60% lower than at 40%.
 const recountShare = 0.06
 
-// RebuildFrom replaces the assignment with membership and brings every
-// count up to date: the "rebuild B from community_membership" step at
-// the end of each asynchronous Gibbs sweep (Algorithms 3 and 4). When
-// the vertices whose block changed hold at most recountShare of the
-// edge endpoints, only their edges are re-bucketed, without allocating
-// once the sparse rows have grown; otherwise every count is recounted.
-// Both run on the calling goroutine, and workers no longer changes
-// anything. M holds integer counts and sparse rows stay sorted, so both
-// paths leave the identical state. It reports whether it recounted.
-func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) (recounted bool) {
+// ApplyMoves brings the model up to date with accepted moves: the
+// "rebuild B from community_membership" step after each asynchronous
+// pass (Algorithms 3 and 4), and a rank's update from its peers' moves.
+// Each list holds flat (vertex, block) pairs, applied in order, so a
+// vertex listed twice ends in its last block.
+//
+// When the moved vertices hold at most recountShare of the edge
+// endpoints, each move goes through ApplyMove's update, one pair of
+// Adds per distinct neighbour block, without allocating once sc and
+// the sparse rows have grown; otherwise every count is recounted. Both
+// paths run on the calling goroutine. M holds integer counts and sparse
+// rows stay sorted, so both leave the identical state. It reports
+// whether it recounted.
+func (bm *Blockmodel) ApplyMoves(lists [][]int32, sc *Scratch) (recounted bool) {
 	var moved int64
-	for v, b := range membership {
-		if b != bm.Assignment[v] {
-			moved += int64(bm.G.Degree(v))
-		}
-	}
-	if float64(moved) > recountShare*float64(2*bm.G.NumEdges()) {
-		copy(bm.Assignment, membership)
-		bm.rebuildCounts()
-		return true
-	}
-	bm.moveVertices(membership)
-	return false
-}
-
-// moveVertices is RebuildFrom's incremental path. Each moved vertex
-// takes its size and degrees from its old block to its new one, and
-// each edge is re-bucketed once: from its tail's side when the tail
-// moved (self-loops included), else from its head's side.
-func (bm *Blockmodel) moveVertices(membership []int32) {
-	old := bm.Assignment
-	for v, s := range membership {
-		r := old[v]
-		if r == s {
-			continue
-		}
-		out, in := bm.G.OutNeighbors(v), bm.G.InNeighbors(v)
-		bm.Sizes[r]--
-		bm.Sizes[s]++
-		bm.DOut[r] -= int64(len(out))
-		bm.DOut[s] += int64(len(out))
-		bm.DIn[r] -= int64(len(in))
-		bm.DIn[s] += int64(len(in))
-		bm.DTot[r] = bm.DOut[r] + bm.DIn[r]
-		bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
-		for _, u := range out {
-			bm.M.Add(int(r), int(old[u]), -1)
-			bm.M.Add(int(s), int(membership[u]), 1)
-		}
-		for _, u := range in {
-			if t := old[u]; t == membership[u] {
-				bm.M.Add(int(t), int(r), -1)
-				bm.M.Add(int(t), int(s), 1)
+	for _, l := range lists {
+		for i := 0; i < len(l); i += 2 {
+			if v := l[i]; bm.Assignment[v] != l[i+1] {
+				moved += int64(bm.G.Degree(int(v)))
 			}
 		}
 	}
-	copy(bm.Assignment, membership)
+	if float64(moved) <= recountShare*float64(2*bm.G.NumEdges()) {
+		bm.applyEach(lists, sc)
+		return false
+	}
+	for _, l := range lists {
+		for i := 0; i < len(l); i += 2 {
+			bm.Assignment[l[i]] = l[i+1]
+		}
+	}
+	bm.rebuildCounts()
+	return true
+}
+
+// applyEach is ApplyMoves' incremental path: every move that changes a
+// vertex's block is tallied against the current assignment and applied
+// as ApplyMove applies it.
+func (bm *Blockmodel) applyEach(lists [][]int32, sc *Scratch) {
+	for _, l := range lists {
+		for i := 0; i < len(l); i += 2 {
+			v, s := int(l[i]), l[i+1]
+			if r := bm.Assignment[v]; r != s {
+				bm.apply(v, r, s, bm.CountVertex(v, bm.Assignment, sc))
+			}
+		}
+	}
+}
+
+// RebuildFrom replaces the assignment with membership and brings every
+// count up to date: ApplyMoves with the vertices whose block differs as
+// the move list. It allocates nothing when nothing moved, and workers
+// no longer changes anything. It reports whether it recounted.
+func (bm *Blockmodel) RebuildFrom(membership []int32, workers int) (recounted bool) {
+	var moves []int32
+	for v, b := range membership {
+		if b != bm.Assignment[v] {
+			moves = append(moves, int32(v), b)
+		}
+	}
+	if moves == nil {
+		return false
+	}
+	return bm.ApplyMoves([][]int32{moves}, NewScratch())
 }
 
 // Clone returns a deep copy of bm (sharing the immutable graph).

@@ -369,11 +369,15 @@ func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
 // been evaluated against bm.Assignment (serial Metropolis-Hastings path)
 // and be the most recent evaluation on its Scratch.
 func (bm *Blockmodel) ApplyMove(md MoveDelta) {
-	if md.From == md.To {
-		return
+	if md.From != md.To {
+		bm.apply(md.V, md.From, md.To, md.counts)
 	}
-	r, s := md.From, md.To
-	vc := md.counts
+}
+
+// apply moves vertex v, whose edges vc tallies under bm.Assignment, from
+// block r to block s: one pair of Adds to M per distinct neighbour
+// block, then v's degrees, size and assignment.
+func (bm *Blockmodel) apply(v int, r, s int32, vc VertexCounts) {
 	for _, t := range vc.out.keys {
 		c := vc.out.val[t]
 		bm.M.Add(int(r), int(t), -c)
@@ -396,7 +400,7 @@ func (bm *Blockmodel) ApplyMove(md MoveDelta) {
 	bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
 	bm.Sizes[r]--
 	bm.Sizes[s]++
-	bm.Assignment[md.V] = s
+	bm.Assignment[v] = s
 }
 
 // EvalMerge computes the likelihood ΔS for merging block r into block s,

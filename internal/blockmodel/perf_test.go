@@ -78,10 +78,11 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRebuildFromIncrementalZeroAllocs alternates RebuildFrom between
-// two memberships 5% apart, in both storage modes: after one warm-up
-// call has grown the sparse rows, the incremental path allocates
-// nothing.
+// TestRebuildFromIncrementalZeroAllocs alternates ApplyMoves between
+// two memberships 5% apart, in both storage modes, with the warmed
+// Scratch the engines pass: after one warm-up call has grown the
+// sparse rows, the incremental rebuild allocates nothing. RebuildFrom
+// from an unchanged membership allocates nothing either.
 func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
 	for _, c := range []int{8, 300} {
 		r := rng.New(7)
@@ -92,19 +93,36 @@ func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
 		}
 		b := moveFraction(r, a, c, 0.05)
 		bm := mustFromAssignment(t, g, a, c)
-		if bm.RebuildFrom(b, 2) {
+		lists := [2][][]int32{{diffMoves(b, a)}, {diffMoves(a, b)}}
+		sc := NewScratch()
+		if bm.ApplyMoves(lists[1], sc) {
 			t.Fatalf("C=%d: 5%% moved took the recount path", c)
 		}
-		memberships := [2][]int32{a, b}
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			bm.RebuildFrom(memberships[i%2], 2)
+			bm.ApplyMoves(lists[i%2], sc)
 			i++
 		})
 		if allocs != 0 {
 			t.Fatalf("C=%d: incremental rebuild allocates %.1f times per call, want 0", c, allocs)
 		}
+		same := append([]int32(nil), bm.Assignment...)
+		if allocs := testing.AllocsPerRun(50, func() { bm.RebuildFrom(same, 2) }); allocs != 0 {
+			t.Fatalf("C=%d: RebuildFrom with nothing moved allocates %.1f times per call, want 0", c, allocs)
+		}
 	}
+}
+
+// diffMoves returns the move list that takes membership from to to:
+// (v, to[v]) for every vertex whose block differs, in vertex order.
+func diffMoves(from, to []int32) []int32 {
+	var moves []int32
+	for v, b := range to {
+		if b != from[v] {
+			moves = append(moves, int32(v), b)
+		}
+	}
+	return moves
 }
 
 // TestFromAssignmentSparseAllocs gates the recount's allocations: in

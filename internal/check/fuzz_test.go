@@ -10,6 +10,9 @@ package check
 // after `go test -fuzz` writes it to testdata/fuzz/<Target>/.
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/blockmodel"
@@ -142,8 +145,10 @@ func FuzzMergeDelta(f *testing.F) {
 // FuzzRebuildFrom drives random small membership rewrites through
 // RebuildFrom — a few vertices at a time, so both its incremental
 // update and its recount run — and requires a consistent state after
-// every rewrite. Op layout: one byte picks how many vertices move (1–3),
-// then one (vertex, block) byte pair per move.
+// every rewrite. Each rewrite also reaches a clone through ApplyMoves,
+// as a move list in op order, and the two models must agree on every
+// count and the MDL bits. Op layout: one byte picks how many vertices
+// move (1–3), then one (vertex, block) byte pair per move.
 func FuzzRebuildFrom(f *testing.F) {
 	f.Add([]byte("\x05\x03\x0a" + "\x00\x01\x01\x00\x00\x00\x02\x03\x03\x04\x04\x02\x05\x06\x06\x07\x07\x05\x01\x05" +
 		"\x00\x00\x01\x01\x01\x02\x02\x02" + "\x00\x00\x03" + "\x01\x00\x01\x01\x01" + "\x02\x02\x00\x03\x00\x04\x00" + "\x01\x05\x04\x02\x01"))
@@ -156,17 +161,48 @@ func FuzzRebuildFrom(f *testing.F) {
 		}
 		n := bm.G.NumVertices()
 		membership := append([]int32(nil), bm.Assignment...)
+		moved := bm.Clone()
+		sc := blockmodel.NewScratch()
+		var moves []int32
 		steps := 0
 		for i := 0; i < len(ops) && steps < 16; steps++ {
 			k := 1 + int(ops[i])%3
 			i++
+			moves = moves[:0]
 			for ; k > 0 && i+1 < len(ops); k, i = k-1, i+2 {
-				membership[int(ops[i])%n] = int32(int(ops[i+1]) % bm.C)
+				v, b := int32(int(ops[i])%n), int32(int(ops[i+1])%bm.C)
+				membership[v] = b
+				moves = append(moves, v, b)
 			}
 			bm.RebuildFrom(membership, 1)
 			if err := Invariants(bm); err != nil {
 				t.Fatalf("invariants after rewrite %d: %v", steps, err)
 			}
+			moved.ApplyMoves([][]int32{moves}, sc)
+			if err := Invariants(moved); err != nil {
+				t.Fatalf("invariants after ApplyMoves %d: %v", steps, err)
+			}
+			if err := sameModel(bm, moved); err != nil {
+				t.Fatalf("rewrite %d: RebuildFrom and ApplyMoves disagree: %v", steps, err)
+			}
 		}
 	})
+}
+
+// sameModel reports the first state in which a and b differ: the
+// assignment, M, the block degrees, the sizes or the MDL bits.
+func sameModel(a, b *blockmodel.Blockmodel) error {
+	switch {
+	case !slices.Equal(a.Assignment, b.Assignment):
+		return fmt.Errorf("assignments differ")
+	case !a.M.Equal(b.M):
+		return fmt.Errorf("block matrices differ")
+	case !slices.Equal(a.DOut, b.DOut) || !slices.Equal(a.DIn, b.DIn) || !slices.Equal(a.DTot, b.DTot):
+		return fmt.Errorf("block degrees differ")
+	case !slices.Equal(a.Sizes, b.Sizes):
+		return fmt.Errorf("block sizes differ")
+	case math.Float64bits(a.MDL()) != math.Float64bits(b.MDL()):
+		return fmt.Errorf("MDL %v, want %v", b.MDL(), a.MDL())
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -22,16 +23,20 @@ import (
 //
 //  1. (H-SBP only) rank 0 runs the serial Metropolis-Hastings pass over
 //     the high-degree set V* (the same ceil(f·V) vertices in-process
-//     H-SBP picks) on its replica and broadcasts those moves;
+//     H-SBP picks) on its replica and allgathers those moves, which the
+//     other ranks apply;
 //  2. every rank proposes moves for its owned vertices against its
 //     (stale) replica — exactly the bounded-staleness semantics of the
 //     shared-memory engines, and the same pass code (mcmc.SerialPass,
 //     mcmc.AsyncPass);
-//  3. ranks allgather their membership segments (the only per-sweep bulk
-//     communication, V·4 bytes per rank pair) and rebuild replicas;
+//  3. ranks allgather their accepted moves as flat (vertex, block) pairs
+//     (the only per-sweep bulk communication, 8 bytes per move per rank
+//     pair), check them, and apply them to their replicas;
 //  4. ranks allreduce the replica MDL to agree on convergence — the
 //     canonical rank-order fold guarantees every rank sees the same
-//     bits, and the reduction doubles as a divergence detector.
+//     bits, and the reduction doubles as a divergence detector: a
+//     replica that disagrees, or a rank that received a move list
+//     failing step 3's checks, makes every rank return an error.
 //
 // RunRank is the single-rank body: it speaks only through a Comm, so it
 // runs unchanged on the in-process channel cluster (RunMCMCPhase) and
@@ -215,10 +220,8 @@ func RunMCMCPhase(bm *blockmodel.Blockmodel, mode Mode, cfg Config) (PhaseStats,
 			final = membership
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return st, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return st, err
 	}
 
 	// Every replica followed the same deterministic exchange, so rank
@@ -287,7 +290,6 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 	// Every rank derives the same split and the same master stream from
 	// the shared seed, and draws the phase key from it as mcmc.Run does.
 	ranges := PartitionRanges(g, ranks)
-	lo, hi := ranges[r].Lo, ranges[r].Hi
 	master := rng.New(cfg.Seed)
 	sc := blockmodel.NewScratch()
 
@@ -377,12 +379,19 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 	// so the ranks together run the in-process chain.
 	startMaster, _ := master.MarshalBinary()
 	key := master.Uint64()
-	serial, async := rankLists(replica, mode, cfg.HybridFraction, r, ranges[r])
-	serialBlocks := make([]int32, len(serial))
+	serial, async, star := rankLists(replica, mode, cfg.HybridFraction, r, ranges[r])
 	plan := mcmc.NewPassPlan(replica, async, 1)
 	pcfg := mcmc.Config{Beta: cfg.Beta}
 	scratches := []*blockmodel.Scratch{sc}
-	next := make([]int32, n)
+	moves := make([][]int32, 1)
+	// A move of v may come from rank 0 alone for a V* vertex, in the
+	// serial exchange, and from the rank whose async list holds v, in
+	// the async one.
+	starMover := func(p int, v int32) bool { return p == 0 && star[v] }
+	asyncMover := func(p int, v int32) bool {
+		return ranges[p].Lo <= int(v) && int(v) < ranges[p].Hi && !star[v]
+	}
+	seen := make([]bool, n)
 
 	// writeCkpt persists this rank's state at a sweep boundary: the
 	// agreed membership (identical on all ranks after the rebuild) plus
@@ -423,55 +432,43 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			}, fields...)...)
 		}
 		// Hybrid: rank 0 leads the serial pass over V* (every other
-		// rank's serial list is empty), then broadcasts its accepted
-		// moves as flat (vertex, block) pairs in V* order. Each V* vertex
-		// is visited once, so a changed block is exactly an accepted move.
-		// The other ranks write the moves into next and rebuild from it.
-		var starMoves []int32
+		// rank's serial list is empty) and sends its accepted moves, in
+		// V* order, to the other ranks, which apply them. A list that
+		// fails the checks is not applied; the rank finishes the sweep's
+		// exchanges and then votes NaN.
+		var bad error
 		if mode == ModeHybrid {
 			serialSpan := sweepSpan.Child("mcmc", obs.F("pass", "serial"))
-			for i, v := range serial {
-				serialBlocks[i] = replica.Assignment[v]
-			}
-			res := mcmc.SerialPass(replica, serial, pcfg, key, sweep, sc, nil)
+			res := mcmc.SerialPass(replica, serial, moves, pcfg, key, sweep, sc, nil)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
-			for i, v := range serial {
-				if s := replica.Assignment[v]; s != serialBlocks[i] {
-					starMoves = append(starMoves, v, s)
-				}
-			}
 			serialSpan.End()
 			commSpan := sweepSpan.Child("comm", obs.F("op", "allgather_vstar"))
-			all := comm.AllGatherInt32(starMoves)
+			all := comm.AllGatherInt32(moves[0])
 			commSpan.End()
-			if r != 0 && len(all[0]) > 0 {
-				copy(next, replica.Assignment)
-				for i := 0; i+1 < len(all[0]); i += 2 {
-					next[all[0][i]] = all[0][i+1]
-				}
-				replica.RebuildFrom(next, 1)
+			if bad = checkMoves(all, replica.C, starMover, seen); bad == nil && r != 0 {
+				replica.ApplyMoves(all, sc)
 			}
 		}
 
 		// Asynchronous pass over the owned vertices against the stale
-		// replica; accepted moves land in next only.
+		// replica; accepted moves land in the rank's move list only.
 		asyncSpan := sweepSpan.Child("mcmc", obs.F("pass", "async"))
-		res := mcmc.AsyncPass(replica, plan, next, pcfg, key, sweep, scratches, nil)
+		res := mcmc.AsyncPass(replica, plan, moves, pcfg, key, sweep, scratches, nil)
 		st.Proposals += res.Proposals
 		st.Accepts += res.Accepts
 		asyncSpan.End()
 
-		// Exchange segments; every rank assembles the same global
-		// membership and rebuilds its replica from it.
-		commSpan := sweepSpan.Child("comm", obs.F("op", "allgather_segments"))
-		segments := comm.AllGatherInt32(next[lo:hi])
+		// Exchange move lists; every rank applies all of them, its own
+		// included, in rank order.
+		commSpan := sweepSpan.Child("comm", obs.F("op", "allgather_moves"))
+		all := comm.AllGatherInt32(moves[0])
 		commSpan.End()
-		assembled := make([]int32, 0, n)
-		for peer := 0; peer < ranks; peer++ {
-			assembled = append(assembled, segments[peer]...)
+		if bad == nil {
+			if bad = checkMoves(all, replica.C, asyncMover, seen); bad == nil {
+				replica.ApplyMoves(all, sc)
+			}
 		}
-		replica.RebuildFrom(assembled, 1)
 		st.Sweeps++
 		cSweeps.Inc()
 		cProps.Add(st.Proposals - sweepProps)
@@ -480,12 +477,20 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		// Agree on the sweep's MDL. The canonical-order allreduce makes
 		// the value bit-identical on every rank, so the convergence
 		// decision below cannot split the cluster; agreeOr folds to NaN
-		// if any replica disagrees, turning silent divergence into a
-		// hard error.
+		// if any replica disagrees or any rank received a bad move list,
+		// turning either into a hard error on every rank.
 		local := replica.MDL()
+		vote := local
+		if bad != nil {
+			vote = math.NaN()
+		}
 		commSpan = sweepSpan.Child("comm", obs.F("op", "allreduce_mdl"))
-		cur := comm.AllReduceFloat64(local, agreeOr)
+		cur := comm.AllReduceFloat64(vote, agreeOr)
 		commSpan.End()
+		if bad != nil {
+			endSweep(local, obs.F("bad_moves", true))
+			return st, fmt.Errorf("dist: rank %d sweep %d: %w", r, sweep, bad)
+		}
 		if math.IsNaN(cur) && !math.IsNaN(local) {
 			endSweep(local, obs.F("diverged", true))
 			return st, fmt.Errorf("dist: rank %d replica diverged at sweep %d (local MDL %v)", r, sweep, local)
@@ -564,13 +569,49 @@ func agreeOr(a, b float64) float64 {
 	return math.NaN()
 }
 
+// checkMoves reports the first way the move lists, one per sending
+// rank, break the exchange's rules: every list holds (vertex, block)
+// pairs, every block is in [0, c), and mover(p, v) allows rank p to
+// move each vertex v it lists, which it lists at most once. seen is
+// all false on entry and is again on return.
+func checkMoves(lists [][]int32, c int, mover func(p int, v int32) bool, seen []bool) error {
+	defer func() {
+		for _, l := range lists {
+			for i := 0; i < len(l); i += 2 {
+				if v := l[i]; v >= 0 && int(v) < len(seen) {
+					seen[v] = false
+				}
+			}
+		}
+	}()
+	for p, l := range lists {
+		if len(l)%2 != 0 {
+			return fmt.Errorf("rank %d sent a move list of odd length %d", p, len(l))
+		}
+		for i := 0; i < len(l); i += 2 {
+			v, b := l[i], l[i+1]
+			switch {
+			case v < 0 || int(v) >= len(seen) || !mover(p, v):
+				return fmt.Errorf("rank %d sent a move of vertex %d, which it does not move", p, v)
+			case seen[v]:
+				return fmt.Errorf("rank %d sent vertex %d twice", p, v)
+			case b < 0 || int(b) >= c:
+				return fmt.Errorf("rank %d moved vertex %d to block %d outside [0,%d)", p, v, b, c)
+			}
+			seen[v] = true
+		}
+	}
+	return nil
+}
+
 // rankLists builds rank r's pass lists with the in-process helpers.
 // In hybrid mode V* comes from mcmc.SplitByDegree, exactly the set
 // H-SBP picks, and is rank 0's serial list; every other rank's is
 // empty. The async list is the rank's owned range minus V*, in
 // ascending vertex id (never nil: a nil pass list means every vertex).
-func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, owned parallel.Range) (serial, async []int32) {
-	star := make([]bool, bm.G.NumVertices())
+// star marks the vertices of V*.
+func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, owned parallel.Range) (serial, async []int32, star []bool) {
+	star = make([]bool, bm.G.NumVertices())
 	if mode == ModeHybrid {
 		vStar, _ := mcmc.SplitByDegree(bm, fraction)
 		for _, v := range vStar {
@@ -586,5 +627,5 @@ func rankLists(bm *blockmodel.Blockmodel, mode Mode, fraction float64, r int, ow
 			async = append(async, int32(v))
 		}
 	}
-	return serial, async
+	return serial, async, star
 }

@@ -362,7 +362,7 @@ func TestHybridRankListsMatchInProcessVStar(t *testing.T) {
 
 	visits := make([]int, g.NumVertices())
 	for r, owned := range PartitionRanges(g, 2) {
-		serial, async := rankLists(bm, ModeHybrid, 0.15, r, owned)
+		serial, async, _ := rankLists(bm, ModeHybrid, 0.15, r, owned)
 		if r == 0 && len(serial) != 2 {
 			t.Fatalf("rank 0 serial pass visits %d vertices, want 2", len(serial))
 		}

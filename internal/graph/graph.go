@@ -155,22 +155,6 @@ func (g *Graph) VerticesByDegreeDesc() []int32 {
 	return order
 }
 
-// DegreeHistogram returns counts[k] = number of vertices with total
-// degree k, up to the maximum degree present.
-func (g *Graph) DegreeHistogram() []int {
-	maxd := 0
-	for _, d := range g.degree {
-		if int(d) > maxd {
-			maxd = int(d)
-		}
-	}
-	counts := make([]int, maxd+1)
-	for _, d := range g.degree {
-		counts[d]++
-	}
-	return counts
-}
-
 // Stats summarises a graph for reporting.
 type Stats struct {
 	Vertices  int

@@ -155,15 +155,6 @@ func TestVerticesByDegreeDescDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := triangle(t)
-	h := g.DegreeHistogram()
-	// Degrees: v0=4, v1=2, v2=2.
-	if h[2] != 2 || h[4] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := triangle(t)
 	s := g.Stats()

@@ -46,53 +46,6 @@ func ReadEdgeList(r io.Reader, n int) (*Graph, error) {
 	return New(n, edges)
 }
 
-// ReadWeightedEdgeList parses "src dst weight" lines with non-negative
-// integer weights, expanding weight w into w parallel edges. For the
-// DCSBM this is exact: an integer-weighted edge and w parallel edges
-// contribute identically to the block matrix and the degrees, which is
-// how this library supports the weighted graphs named in the paper's
-// future work. Zero-weight lines are dropped.
-func ReadWeightedEdgeList(r io.Reader, n int) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var edges []Edge
-	maxID := -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("graph: line %d: expected 'src dst weight', got %q", line, text)
-		}
-		src, dst, err := parseEndpoints(fields)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", line, err)
-		}
-		w, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", line, fields[2], err)
-		}
-		if w < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative weight %d", line, w)
-		}
-		maxID = max(maxID, int(src), int(dst))
-		for i := 0; i < w; i++ {
-			edges = append(edges, Edge{Src: src, Dst: dst})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: scan: %w", err)
-	}
-	if n <= 0 {
-		n = maxID + 1
-	}
-	return New(n, edges)
-}
-
 // parseEndpoints parses the "src dst" fields of an edge-list line.
 // Vertex ids are int32, so an id beyond that range is an error rather
 // than a wrapped value.

@@ -55,9 +55,6 @@ func TestReadEdgeListIDOutOfRange(t *testing.T) {
 		if g, err := ReadEdgeList(strings.NewReader(tc.in), tc.n); err == nil {
 			t.Errorf("input %q (n=%d) accepted as V=%d E=%d", tc.in, tc.n, g.NumVertices(), g.NumEdges())
 		}
-		if _, err := ReadWeightedEdgeList(strings.NewReader(strings.TrimSpace(tc.in)+" 1\n"), tc.n); err == nil {
-			t.Errorf("weighted input %q (n=%d) accepted", tc.in, tc.n)
-		}
 	}
 }
 
@@ -191,29 +188,5 @@ func TestLoadFileDispatch(t *testing.T) {
 
 	if _, err := LoadFile(filepath.Join(dir, "missing.tsv")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestReadWeightedEdgeList(t *testing.T) {
-	in := "# weighted\n0 1 3\n1 2 1\n2 0 0\n"
-	g, err := ReadWeightedEdgeList(strings.NewReader(in), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weight 3 expands to 3 parallel edges; weight 0 is dropped.
-	if g.NumEdges() != 4 {
-		t.Fatalf("E = %d, want 4", g.NumEdges())
-	}
-	if g.OutDegree(0) != 3 {
-		t.Fatalf("out-degree(0) = %d, want 3", g.OutDegree(0))
-	}
-}
-
-func TestReadWeightedEdgeListErrors(t *testing.T) {
-	cases := []string{"0 1\n", "0 1 x\n", "0 1 -2\n", "a 1 1\n", "0 b 1\n"}
-	for _, in := range cases {
-		if _, err := ReadWeightedEdgeList(strings.NewReader(in), 0); err == nil {
-			t.Errorf("input %q accepted", in)
-		}
 	}
 }

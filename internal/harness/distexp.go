@@ -9,7 +9,7 @@ import (
 
 // FigDistributed measures the future-work distributed MCMC phase: for
 // growing cluster sizes it reports result quality and the communication
-// volume of the per-sweep membership exchange — the trade-off a real
+// volume of the per-sweep exchange of accepted moves — the trade-off a real
 // multi-node deployment of A-SBP/H-SBP optimises (§6).
 func (c Config) FigDistributed() (*Table, error) {
 	t := &Table{
@@ -17,8 +17,9 @@ func (c Config) FigDistributed() (*Table, error) {
 		Columns: []string{"ranks", "mode", "sweeps", "NMI", "traffic (kB)", "comm/sweep (ms)"},
 		Notes: []string{
 			"bulk-synchronous ranks with replica blockmodels; traffic = frame bytes of the",
-			"per-sweep membership allgather + MDL agreement allreduce; comm/sweep = rank 0's",
-			"wall time inside collectives (the wire cost a TCP deployment pays per sweep)",
+			"per-sweep allgather of accepted moves (8 bytes each) + MDL agreement allreduce;",
+			"comm/sweep = rank 0's wall time inside collectives (the wire cost a TCP",
+			"deployment pays per sweep)",
 		},
 	}
 	v := int(1200 * (c.Scale / 0.005))

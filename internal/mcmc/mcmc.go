@@ -192,14 +192,6 @@ type Stats struct {
 	Cost parallel.CostModel
 }
 
-// AcceptanceRate returns Accepts/Proposals (0 when no proposals ran).
-func (s Stats) AcceptanceRate() float64 {
-	if s.Proposals == 0 {
-		return 0
-	}
-	return float64(s.Accepts) / float64(s.Proposals)
-}
-
 // MaxImbalance returns the worst per-sweep worker-imbalance ratio of
 // the phase (1 = perfectly balanced; 0 = no parallel pass ran).
 func (s Stats) MaxImbalance() float64 {

@@ -102,9 +102,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Cost.ParallelWork != 0 {
 		t.Fatal("serial engine recorded parallel work")
 	}
-	if r := st.AcceptanceRate(); r < 0 || r > 1 {
-		t.Fatalf("acceptance rate %v", r)
-	}
 }
 
 func TestAsyncChargesParallelWork(t *testing.T) {

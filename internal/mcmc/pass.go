@@ -49,21 +49,25 @@ type PassResult struct {
 	BusyNS    []float64 // wall busy nanoseconds per range; one entry for a serial pass
 
 	// Aborted reports that the pass saw cancellation and stopped early,
-	// leaving bm or next mid-sweep: the caller must discard it and roll
-	// back to the sweep boundary.
+	// leaving bm or the move lists mid-sweep: the caller must discard
+	// them and roll back to the sweep boundary.
 	Aborted bool
 }
 
 // SerialPass is the live Metropolis-Hastings pass of Algorithms 2 and
 // 4: it visits vertices in order, and every accepted move updates bm in
-// place, so each proposal sees the exact current state. Vertex v draws
-// from rng.At(key, sweep, v), as it would in an async pass.
+// place, so each proposal sees the exact current state. The pass also
+// records its accepted moves in moves[0], emptied first, as flat
+// (vertex, block) pairs in visit order: the list a rank sends to its
+// peers. Vertex v draws from rng.At(key, sweep, v), as it would in an
+// async pass.
 //
 // done, when non-nil, is the cancellation channel, polled every 256
 // vertices.
-func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, key uint64, sweep int, sc *blockmodel.Scratch, done <-chan struct{}) PassResult {
+func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, moves [][]int32, cfg Config, key uint64, sweep int, sc *blockmodel.Scratch, done <-chan struct{}) PassResult {
 	var res PassResult
 	start := time.Now()
+	moves[0] = moves[0][:0]
 	for i, v := range vertices {
 		if done != nil && i&255 == 0 && isClosed(done) {
 			res.Aborted = true
@@ -75,6 +79,7 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, key uin
 		}
 		if accepted {
 			bm.ApplyMove(md)
+			moves[0] = append(moves[0], v, md.To)
 			res.Accepts++
 		}
 	}
@@ -83,16 +88,21 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, cfg Config, key uin
 }
 
 // AsyncPass runs one asynchronous Gibbs pass (Algorithm 3) over the
-// plan's vertex set. It first copies bm.Assignment into next; proposals
-// then read bm (stale, frozen during the pass) and accepted moves write
-// next[v]. Worker w owns plan range w, so all writes are disjoint and
-// the pass is race-free. Vertex v draws from rng.At(key, sweep, v), so
-// next comes out the same however the plan splits the vertices.
+// plan's vertex set. It first empties every buffer in moves, which
+// needs one per plan range; proposals then read bm (stale, frozen
+// during the pass), and worker w appends its accepted moves to
+// moves[w] as flat (vertex, block) pairs in visit order, the lists
+// blockmodel.ApplyMoves applies. Each worker writes only its own
+// buffer, so the pass is race-free. Vertex v draws from
+// rng.At(key, sweep, v), so the moves come out the same however the
+// plan splits the vertices.
 //
 // done, when non-nil, is the cancellation channel: workers poll it (and
 // a shared abort flag) every 256 vertices and unwind early.
-func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Config, key uint64, sweep int, scratches []*blockmodel.Scratch, done <-chan struct{}) PassResult {
-	copy(next, bm.Assignment)
+func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, moves [][]int32, cfg Config, key uint64, sweep int, scratches []*blockmodel.Scratch, done <-chan struct{}) PassResult {
+	for w := range moves {
+		moves[w] = moves[w][:0]
+	}
 	var proposals, accepts atomic.Int64
 	var aborted atomic.Bool
 	busy := make([]float64, len(plan.ranges))
@@ -113,7 +123,7 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Confi
 				localProp++
 			}
 			if accepted {
-				next[v] = md.To
+				moves[w] = append(moves[w], int32(v), md.To)
 				localAcc++
 			}
 		}
@@ -131,7 +141,7 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, next []int32, cfg Confi
 // drawn from twice. proposed reports that the target differed from v's
 // block (the move was evaluated); accepted that the caller should apply
 // md. The serial pass applies it to bm, the async pass records it in
-// its private membership.
+// its move list.
 func step(bm *blockmodel.Blockmodel, v int, cfg *Config, key uint64, sweep int, sc *blockmodel.Scratch) (md blockmodel.MoveDelta, proposed, accepted bool) {
 	rn := rng.At(key, uint64(sweep), uint64(v))
 	s := bm.ProposeVertexMove(v, bm.Assignment, &rn)
@@ -180,12 +190,11 @@ func passCancelled(done <-chan struct{}, aborted *atomic.Bool) bool {
 	return false
 }
 
-// rebuild brings bm up to date with the pass's membership and charges
-// the time as serial work: RebuildFrom runs on one goroutine on either
-// of its paths.
-func rebuild(bm *blockmodel.Blockmodel, next []int32, st *Stats, sp *sweepProbe) {
+// rebuild applies the pass's moves to bm and charges the time as
+// serial work: ApplyMoves runs on one goroutine on either of its paths.
+func rebuild(bm *blockmodel.Blockmodel, moves [][]int32, sc *blockmodel.Scratch, st *Stats, sp *sweepProbe) {
 	start := time.Now()
-	bm.RebuildFrom(next, 1)
+	bm.ApplyMoves(moves, sc)
 	ns := float64(time.Since(start).Nanoseconds())
 	sp.rebuild(ns)
 	st.Cost.AddSerial(ns)

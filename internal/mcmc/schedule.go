@@ -70,13 +70,14 @@ func newSchedule(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config) schedule 
 func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs) Stats {
 	st := Stats{Algorithm: s.alg, InitialS: bm.MDL()}
 	scratches := newScratches(s.workers)
-	serialScratch := blockmodel.NewScratch()
-	next := make([]int32, len(bm.Assignment))
-	// Size the sweep record for the widest pass so range ids index it.
+	sc := blockmodel.NewScratch()
+	// Size the sweep record and the move buffers for the widest pass so
+	// range ids index them.
 	width := 0
 	for _, p := range s.plans {
 		width = max(width, len(p.ranges))
 	}
+	serialMoves, moves := make([][]int32, 1), make([][]int32, width)
 	// A serial pass mutates bm live; a second async pass follows a
 	// mid-sweep rebuild. Either way a cancelled sweep must roll back the
 	// membership it already changed.
@@ -92,7 +93,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 		}
 		sp := po.sweep(sweep, width, &st)
 		if hasSerial {
-			res := SerialPass(bm, s.serial, cfg, key, sweep, serialScratch, done)
+			res := SerialPass(bm, s.serial, serialMoves, cfg, key, sweep, sc, done)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
 			if res.Aborted {
@@ -106,7 +107,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 			}
 		}
 		for _, plan := range s.plans {
-			res := AsyncPass(bm, plan, next, cfg, key, sweep, scratches, done)
+			res := AsyncPass(bm, plan, moves, cfg, key, sweep, scratches, done)
 			st.Proposals += res.Proposals
 			st.Accepts += res.Accepts
 			if res.Aborted {
@@ -114,7 +115,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 				return st
 			}
 			st.Cost.AddParallel(sp.pass(res.BusyNS))
-			rebuild(bm, next, &st, sp)
+			rebuild(bm, moves, sc, &st, sp)
 			if cfg.Verify {
 				// Per pass, not just per sweep: a corrupted mid-sweep
 				// rebuild is caught before the next pass consumes it.

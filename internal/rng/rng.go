@@ -181,18 +181,6 @@ func (r *RNG) Exp() float64 {
 	}
 }
 
-// Norm returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) Norm() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Poisson returns a Poisson(lambda) variate. For small lambda it uses
 // Knuth's product method; for large lambda the PTRS transformed-rejection
 // method of Hörmann (1993), which is O(1).

@@ -247,25 +247,6 @@ func TestExpPositiveMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(31)
-	var sum, sumSq float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Norm()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("Norm mean %.4f", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("Norm variance %.4f", variance)
-	}
-}
-
 func TestShuffleIntsPreservesMultiset(t *testing.T) {
 	r := New(41)
 	s := []int{1, 1, 2, 3, 5, 8, 13}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/blockmodel"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -511,10 +512,8 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bw := bufio.NewWriter(w)
-	for v, c := range snap.Assignment {
-		fmt.Fprintf(bw, "%d\t%d\n", v, c)
-	}
-	_ = bw.Flush()
+	// A failed write means the client went away: there is no one left
+	// to report it to.
+	_ = blockmodel.WriteAssignment(w, snap.Assignment)
 	s.noteQuery(g, start)
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Two-rank loopback-TCP smoke test for cmd/dsbp: launch two rank
 # processes on 127.0.0.1, require both to exit 0, and require their
-# final MDLs (printed as final_mdl=...) to match bit-for-bit — the
-# cross-process version of the transport-equivalence tests in
-# internal/dist/net. Used by CI; runnable locally with no arguments.
+# final memberships (written with -out) to be byte-identical, so the
+# move exchange left both replicas in one state, and their final MDLs
+# (printed as final_mdl=...) to match — the cross-process version of
+# the transport-equivalence tests in internal/dist/net. Used by CI;
+# runnable locally with no arguments.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,9 +21,9 @@ go build -o "$tmp/dsbp" ./cmd/dsbp
 peers="127.0.0.1:39401,127.0.0.1:39402"
 common=(-peers "$peers" -graph "$tmp/graph.tsv" -communities 6 -mode hybrid -seed 11 -max-sweeps 30)
 
-"$tmp/dsbp" -rank 0 "${common[@]}" >"$tmp/rank0.out" 2>"$tmp/rank0.err" &
+"$tmp/dsbp" -rank 0 "${common[@]}" -out "$tmp/rank0.membership" >"$tmp/rank0.out" 2>"$tmp/rank0.err" &
 pid0=$!
-"$tmp/dsbp" -rank 1 "${common[@]}" >"$tmp/rank1.out" 2>"$tmp/rank1.err" &
+"$tmp/dsbp" -rank 1 "${common[@]}" -out "$tmp/rank1.membership" >"$tmp/rank1.out" 2>"$tmp/rank1.err" &
 pid1=$!
 
 fail=0
@@ -37,4 +39,8 @@ if [ -z "$mdl0" ] || [ "$mdl0" != "$mdl1" ]; then
   echo "FAIL: rank MDLs disagree or missing: rank0='$mdl0' rank1='$mdl1'"
   exit 1
 fi
-echo "OK: both ranks agree on $mdl0"
+if ! cmp -s "$tmp/rank0.membership" "$tmp/rank1.membership"; then
+  echo "FAIL: rank memberships differ"
+  exit 1
+fi
+echo "OK: both ranks agree on $mdl0 and on all $(wc -l <"$tmp/rank0.membership") vertices' blocks"
