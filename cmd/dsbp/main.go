@@ -69,6 +69,7 @@ func main() {
 		restartBackoff = flag.Duration("restart-backoff", time.Second, "with -supervise: pause before the first restart, doubling per restart")
 		childGen       = flag.Int("gen", 0, "supervisor generation of this process (set by -supervise; identifies the restart epoch)")
 		outPath        = flag.String("out", "", "write this rank's final global membership to this file, one block id per line")
+		verify         = flag.Bool("verify", false, "check this rank's replica against a recount from its membership after every exchange, failing every rank on a mismatch (O(V + E + C²) per check: small graphs only)")
 	)
 	flag.Parse()
 	a := rankArgs{
@@ -79,6 +80,7 @@ func main() {
 		verbose: *verbose, obsAddr: *obsAddr, tracePath: *tracePath,
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery, ckptRetain: *ckptRetain, resume: *resume,
 		gen: *childGen, statusDir: *statusDir, faultPlan: *faultPlan, outPath: *outPath,
+		verify: *verify,
 	}
 	var err error
 	if *supervise {
@@ -121,7 +123,7 @@ type rankArgs struct {
 	obsAddr, tracePath    string
 	ckptDir               string
 	ckptEvery, ckptRetain int
-	resume                bool
+	resume, verify        bool
 
 	// Supervision plumbing: gen is the restart epoch this process
 	// belongs to, statusDir the heartbeat channel, faultPlan the chaos
@@ -299,6 +301,7 @@ func run(a rankArgs) error {
 		Seed:           a.seed,
 		Obs:            telemetry,
 		Ctx:            ctx,
+		Verify:         a.verify,
 		Ckpt: snapshot.Policy{
 			Dir: a.ckptDir, Every: a.ckptEvery, Retain: a.ckptRetain, Resume: a.resume,
 			Obs:     telemetry,

@@ -121,6 +121,9 @@ func (r *execRunner) childArgs(rank, gen int, resume bool) []string {
 	if resume {
 		args = append(args, "-resume")
 	}
+	if a.verify {
+		args = append(args, "-verify")
+	}
 	if a.verbose {
 		args = append(args, "-v")
 	}

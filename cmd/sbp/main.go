@@ -296,14 +296,15 @@ func signalContext() context.Context {
 }
 
 // printSweepTable renders the per-sweep observability records of one
-// MCMC phase: MDL trajectory, proposal counts, where the time went, and
-// the worker-imbalance ratio of the parallel passes.
+// MCMC phase: MDL trajectory, proposal counts, where the time went
+// (serial pass, slowest async worker, rebuild, MDL pass), and the
+// worker-imbalance ratio of the parallel passes.
 func printSweepTable(recs []mcmc.SweepRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	fmt.Printf("    %5s %14s %9s %9s %9s %9s %9s %6s\n",
-		"sweep", "MDL", "props", "accepts", "serial", "worker", "rebuild", "imb")
+	fmt.Printf("    %5s %14s %9s %9s %9s %9s %9s %9s %6s\n",
+		"sweep", "MDL", "props", "accepts", "serial", "worker", "rebuild", "mdl", "imb")
 	for _, r := range recs {
 		var maxWorker float64
 		for _, t := range r.WorkerNS {
@@ -311,9 +312,9 @@ func printSweepTable(recs []mcmc.SweepRecord) {
 				maxWorker = t
 			}
 		}
-		fmt.Printf("    %5d %14.1f %9d %9d %9s %9s %9s %6.2f\n",
+		fmt.Printf("    %5d %14.1f %9d %9d %9s %9s %9s %9s %6.2f\n",
 			r.Sweep, r.MDL, r.Proposals, r.Accepts,
-			fmtNS(r.SerialNS), fmtNS(maxWorker), fmtNS(r.RebuildNS), r.Imbalance)
+			fmtNS(r.SerialNS), fmtNS(maxWorker), fmtNS(r.RebuildNS), fmtNS(r.MDLNS), r.Imbalance)
 	}
 }
 

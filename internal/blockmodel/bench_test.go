@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // benchModel builds a structured model at the requested block count.
@@ -184,13 +185,39 @@ func BenchmarkRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkMDL times the description length of one state on 5,000
+// vertices: the planted C=64 partition in dense storage, and uniform
+// random partitions in sparse storage just above DenseThreshold and at
+// C=V/2, the shape of an early search iteration.
 func BenchmarkMDL(b *testing.B) {
-	bm, _ := benchModel(b, 5000, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bm.MDL()
+	const v = 5000
+	planted, r := benchModel(b, v, 64)
+	for _, c := range []int{64, sparse.DenseThreshold + 1, v / 2} {
+		bm := planted
+		if c != 64 {
+			a := make([]int32, v)
+			for i := range a {
+				a[i] = int32(r.Intn(c))
+			}
+			var err error
+			if bm, err = FromAssignment(planted.G, a, c, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mode := "sparse"
+		if bm.M.IsDense() {
+			mode = "dense"
+		}
+		b.Run(fmt.Sprintf("%s/C=%d", mode, c), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mdlSink = bm.MDL()
+			}
+		})
 	}
 }
+
+var mdlSink float64
 
 func BenchmarkEvalMerge(b *testing.B) {
 	bm, r := benchModel(b, 2000, 64)

@@ -8,7 +8,16 @@ import "math"
 //
 // with h(x) = (1+x)·ln(1+x) − x·ln x, and the log-likelihood (Eq. 1)
 //
-//	L(G|B) = Σ_{rs} M_rs · ln( M_rs / (d_out_r · d_in_s) ).
+//	L(G|B) = Σ_{rs} M_rs · ln( M_rs / (d_out_r · d_in_s) ),
+//
+// which LogLikelihood sums in the split form ΔS also uses (delta.go):
+// with f(x) = x·ln x read from xlogxTable,
+//
+//	L(G|B) = Σ_{rs} f(M_rs) − Σ_r [f(d_out_r) + f(d_in_r)],
+//
+// because row r of M sums to d_out_r and column s to d_in_s. That
+// takes no division and, for counts below the table's length, no
+// logarithm.
 //
 // Natural logarithms are used throughout; MDL values are therefore in
 // nats, and all ratios (ΔMDL thresholds, normalized MDL) are base-
@@ -22,22 +31,32 @@ func hFunc(x float64) float64 {
 	return (1+x)*math.Log(1+x) - x*math.Log(x)
 }
 
-// LogLikelihood returns L(G|B) (Eq. 1). Zero entries and zero-degree
-// blocks contribute nothing.
+// LogLikelihood returns L(G|B) (Eq. 1) from the x·ln x split. The cells
+// are summed in row-major order in both storage modes — dense storage
+// adds its zero cells, and f(0) = 0 changes no bit — and the block
+// degrees after them in block order. The value is therefore a pure
+// function of the state: dense and sparse storage of one state give the
+// same bits, and so does Compact's renumbering, since the empty blocks
+// it drops add only zeros. FromCheckpoint's exact check relies on both.
 func (bm *Blockmodel) LogLikelihood() float64 {
-	var l float64
-	for r := 0; r < bm.C; r++ {
-		dr := float64(bm.DOut[r])
-		if dr == 0 {
-			continue
+	var cells float64
+	if data, ok := bm.M.DenseData(); ok {
+		for _, m := range data {
+			cells += xlogx(m)
 		}
-		bm.M.RowNZ(r, func(s int32, count int64) {
-			ds := float64(bm.DIn[s])
-			m := float64(count)
-			l += m * math.Log(m/(dr*ds))
-		})
+	} else {
+		for r := 0; r < bm.C; r++ {
+			_, vals, _ := bm.M.RowView(r)
+			for _, m := range vals {
+				cells += xlogx(m)
+			}
+		}
 	}
-	return l
+	var degrees float64
+	for r := 0; r < bm.C; r++ {
+		degrees += xlogx(bm.DOut[r]) + xlogx(bm.DIn[r])
+	}
+	return cells - degrees
 }
 
 // ModelTerm returns E·h(C²/E) + V·ln(C) for the given block count — the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/blockmodel"
+	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/mcmc"
 	"repro/internal/obs"
@@ -106,6 +107,15 @@ type Config struct {
 	// Retain and Resume settings (the boundary schedule is part of the
 	// protocol), though Dir is rank-local under cmd/dsbp.
 	Ckpt snapshot.Policy
+
+	// Verify runs the oracle's invariant check (check.Invariants) on
+	// the rank's replica after the hybrid serial pass and its exchange,
+	// and after every apply of the async moves: the checks an
+	// in-process engine makes with mcmc.Config.Verify. A failure makes
+	// every rank return an error, like a bad move list, so it catches a
+	// corrupted replica even when every rank shares the bug and the MDL
+	// agreement cannot see it. Each check costs O(V + E + C²).
+	Verify bool
 }
 
 // DefaultConfig mirrors the shared-memory defaults on 4 ranks.
@@ -434,8 +444,9 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		// Hybrid: rank 0 leads the serial pass over V* (every other
 		// rank's serial list is empty) and sends its accepted moves, in
 		// V* order, to the other ranks, which apply them. A list that
-		// fails the checks is not applied; the rank finishes the sweep's
-		// exchanges and then votes NaN.
+		// fails the checks is not applied; after a bad list, or with
+		// Verify a replica that fails the invariants, the rank finishes
+		// the sweep's exchanges and then votes NaN.
 		var bad error
 		if mode == ModeHybrid {
 			serialSpan := sweepSpan.Child("mcmc", obs.F("pass", "serial"))
@@ -449,15 +460,24 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 			if bad = checkMoves(all, replica.C, starMover, seen); bad == nil && r != 0 {
 				replica.ApplyMoves(all, sc)
 			}
+			if bad == nil && cfg.Verify {
+				bad = verifyReplica(replica, "post-serial-pass invariants")
+			}
 		}
 
 		// Asynchronous pass over the owned vertices against the stale
-		// replica; accepted moves land in the rank's move list only.
-		asyncSpan := sweepSpan.Child("mcmc", obs.F("pass", "async"))
-		res := mcmc.AsyncPass(replica, plan, moves, pcfg, key, sweep, scratches, nil)
-		st.Proposals += res.Proposals
-		st.Accepts += res.Accepts
-		asyncSpan.End()
+		// replica; accepted moves land in the rank's move list only. A
+		// rank that already failed a check sends no moves: a replica
+		// that failed Verify may not even be safe to propose from.
+		if bad == nil {
+			asyncSpan := sweepSpan.Child("mcmc", obs.F("pass", "async"))
+			res := mcmc.AsyncPass(replica, plan, moves, pcfg, key, sweep, scratches, nil)
+			st.Proposals += res.Proposals
+			st.Accepts += res.Accepts
+			asyncSpan.End()
+		} else {
+			moves[0] = moves[0][:0]
+		}
 
 		// Exchange move lists; every rank applies all of them, its own
 		// included, in rank order.
@@ -467,6 +487,9 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		if bad == nil {
 			if bad = checkMoves(all, replica.C, asyncMover, seen); bad == nil {
 				replica.ApplyMoves(all, sc)
+				if cfg.Verify {
+					bad = verifyReplica(replica, "post-rebuild invariants")
+				}
 			}
 		}
 		st.Sweeps++
@@ -477,8 +500,9 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		// Agree on the sweep's MDL. The canonical-order allreduce makes
 		// the value bit-identical on every rank, so the convergence
 		// decision below cannot split the cluster; agreeOr folds to NaN
-		// if any replica disagrees or any rank received a bad move list,
-		// turning either into a hard error on every rank.
+		// if any replica disagrees, any rank received a bad move list or
+		// any replica failed Verify's check, turning each into a hard
+		// error on every rank.
 		local := replica.MDL()
 		vote := local
 		if bad != nil {
@@ -488,7 +512,7 @@ func RunRank(comm *Comm, g *graph.Graph, membership []int32, c int, mode Mode, c
 		cur := comm.AllReduceFloat64(vote, agreeOr)
 		commSpan.End()
 		if bad != nil {
-			endSweep(local, obs.F("bad_moves", true))
+			endSweep(local, obs.F("error", bad.Error()))
 			return st, fmt.Errorf("dist: rank %d sweep %d: %w", r, sweep, bad)
 		}
 		if math.IsNaN(cur) && !math.IsNaN(local) {
@@ -600,6 +624,15 @@ func checkMoves(lists [][]int32, c int, mover func(p int, v int32) bool, seen []
 			}
 			seen[v] = true
 		}
+	}
+	return nil
+}
+
+// verifyReplica runs the oracle's invariant check on a replica and
+// names the verification point in the error it returns.
+func verifyReplica(replica *blockmodel.Blockmodel, stage string) error {
+	if err := check.Invariants(replica); err != nil {
+		return &check.Failure{Stage: stage, Err: err}
 	}
 	return nil
 }

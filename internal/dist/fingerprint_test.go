@@ -41,7 +41,9 @@ func fingerprintOf(st PhaseStats, membership []int32) fingerprint {
 
 // TestDeterminismDistFingerprints pins D-A-SBP at 1-3 ranks and D-H-SBP
 // at 2-3 ranks against testdata/fingerprints.json. Run with -update to
-// re-record them.
+// re-record them. At 2 ranks each mode runs again with Verify on, which
+// only reads the replicas, so it must end without error on the same
+// fingerprint.
 func TestDeterminismDistFingerprints(t *testing.T) {
 	cases := []struct {
 		mode  Mode
@@ -53,12 +55,25 @@ func TestDeterminismDistFingerprints(t *testing.T) {
 	got := map[string]fingerprint{}
 	for _, c := range cases {
 		for _, ranks := range c.ranks {
+			key := fmt.Sprintf("%s/ranks=%d", c.mode, ranks)
 			bm, _ := distModel(t, 61)
 			st, err := RunMCMCPhase(bm, c.mode, testCfg(ranks))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[fmt.Sprintf("%s/ranks=%d", c.mode, ranks)] = fingerprintOf(st, bm.Assignment)
+			got[key] = fingerprintOf(st, bm.Assignment)
+			if ranks == 2 {
+				bm, _ := distModel(t, 61)
+				cfg := testCfg(ranks)
+				cfg.Verify = true
+				st, err := RunMCMCPhase(bm, c.mode, cfg)
+				if err != nil {
+					t.Fatalf("%s with Verify: %v", key, err)
+				}
+				if fp := fingerprintOf(st, bm.Assignment); fp != got[key] {
+					t.Errorf("%s with Verify: %+v, want %+v", key, fp, got[key])
+				}
+			}
 		}
 	}
 

@@ -188,7 +188,8 @@ type Stats struct {
 
 	// Cost is the work/span account of the phase: proposal work in the
 	// serial passes is serial work, proposal work in the asynchronous
-	// passes is parallel work, and a blockmodel rebuild is serial work.
+	// passes is parallel work, and a blockmodel rebuild and the MDL pass
+	// that ends each sweep are serial work.
 	Cost parallel.CostModel
 }
 
@@ -223,8 +224,8 @@ func (s Stats) MeanImbalance() float64 {
 
 // SweepRecord captures one sweep of an MCMC phase for observability:
 // what the chain did (MDL, proposals, accepts) and where the time went
-// (serial pass, per-worker async pass, rebuild). All durations are
-// nanoseconds of wall-clock busy time.
+// (serial pass, per-worker async pass, rebuild, MDL pass). All
+// durations are nanoseconds of wall-clock busy time.
 type SweepRecord struct {
 	Sweep     int     `json:"sweep"`     // sweep index within the phase
 	MDL       float64 `json:"mdl"`       // description length at sweep end
@@ -234,6 +235,7 @@ type SweepRecord struct {
 	SerialNS  float64   `json:"serial_ns,omitempty"`  // serial (V*) pass time
 	WorkerNS  []float64 `json:"worker_ns,omitempty"`  // async-pass busy time per worker
 	RebuildNS float64   `json:"rebuild_ns,omitempty"` // blockmodel rebuild time
+	MDLNS     float64   `json:"mdl_ns,omitempty"`     // end-of-sweep MDL pass time
 
 	// Imbalance is the load-balance quality of the sweep's parallel
 	// passes: max over mean of the per-worker busy times. 1 means every
@@ -273,8 +275,9 @@ func (r *SweepRecord) finish() {
 // settings but not on Workers.
 func Run(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rng.RNG) Stats {
 	sched := newSchedule(bm, alg, cfg)
-	po := newPhaseObs(cfg.Obs, alg, sched.workers, bm.MDL(), bm.NumNonEmptyBlocks())
-	st := sched.run(bm, cfg, rn, po)
+	s0 := bm.MDL()
+	po := newPhaseObs(cfg.Obs, alg, sched.workers, s0, bm.NumNonEmptyBlocks())
+	st := sched.run(bm, cfg, rn, po, s0)
 	po.endPhase(&st)
 	return st
 }

@@ -33,6 +33,9 @@ func TestPerSweepRecords(t *testing.T) {
 				if rec.MDL <= 0 {
 					t.Fatalf("sweep %d: MDL %v not recorded", i, rec.MDL)
 				}
+				if rec.MDLNS <= 0 {
+					t.Fatalf("sweep %d: no MDL pass time", i)
+				}
 				switch alg {
 				case SerialMH:
 					if rec.Imbalance != 0 {
@@ -144,7 +147,8 @@ func runStaticSplit(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rn
 		}
 		s.plans[i].ranges = parallel.StaticRanges(n, s.workers)
 	}
-	return s.run(bm, cfg, rn, newPhaseObs(cfg.Obs, alg, s.workers, bm.MDL(), bm.NumNonEmptyBlocks()))
+	s0 := bm.MDL()
+	return s.run(bm, cfg, rn, newPhaseObs(cfg.Obs, alg, s.workers, s0, bm.NumNonEmptyBlocks()), s0)
 }
 
 // TestSplitByDegreeCeil is the regression test for the V*-split rounding

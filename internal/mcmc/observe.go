@@ -28,7 +28,7 @@ type phaseObs struct {
 	span *obs.Span // phase span (nil when tracing is disabled)
 
 	sweeps, proposals, accepts *obs.Counter
-	serialNS, rebuildNS        *obs.Counter
+	serialNS, rebuildNS, mdlNS *obs.Counter
 	workerBusy, workerIdle     []*obs.Counter // indexed by worker id
 	sweepDur, propEval         *obs.Histogram
 	mdl, acceptRate, imbalance *obs.Gauge
@@ -46,6 +46,7 @@ func newPhaseObs(o obs.Obs, alg Algorithm, workers int, initialS float64, blocks
 		accepts:   reg.Counter("mcmc_accepts_total", "vertex move proposals accepted", eng),
 		serialNS:  reg.Counter("mcmc_serial_ns_total", "wall nanoseconds in serial (V*) passes", eng),
 		rebuildNS: reg.Counter("mcmc_rebuild_ns_total", "wall nanoseconds rebuilding the blockmodel", eng),
+		mdlNS:     reg.Counter("mcmc_mdl_ns_total", "wall nanoseconds scoring the description length after each sweep", eng),
 		sweepDur: reg.Histogram("mcmc_sweep_duration_ns", "wall nanoseconds per sweep",
 			obs.NanosBuckets, eng),
 		propEval: reg.Histogram("mcmc_proposal_eval_ns", "mean proposal-evaluation nanoseconds per sweep",
@@ -137,6 +138,13 @@ func (sp *sweepProbe) rebuild(ns float64) {
 	sp.po.rebuildNS.Add(int64(ns))
 }
 
+// score records the wall time of the description length pass that ends
+// the sweep.
+func (sp *sweepProbe) score(ns float64) {
+	sp.rec.MDLNS += ns
+	sp.po.mdlNS.Add(int64(ns))
+}
+
 // finish completes the sweep: the record's MDL and count deltas, the
 // derived imbalance ratio, the live-registry updates, and the sweep
 // trace event. The returned record is what engines append to
@@ -170,6 +178,7 @@ func (sp *sweepProbe) finish(st *Stats, mdl float64) SweepRecord {
 			obs.F("sweep", sp.rec.Sweep), obs.F("mdl", mdl),
 			obs.F("proposals", sp.rec.Proposals), obs.F("accepts", sp.rec.Accepts),
 			obs.F("serial_ns", sp.rec.SerialNS), obs.F("rebuild_ns", sp.rec.RebuildNS),
+			obs.F("mdl_ns", sp.rec.MDLNS),
 			obs.F("worker_ns", sp.rec.WorkerNS), obs.F("imbalance", sp.rec.Imbalance),
 			obs.F("dur_ns", durNS))
 	}

@@ -200,6 +200,17 @@ func rebuild(bm *blockmodel.Blockmodel, moves [][]int32, sc *blockmodel.Scratch,
 	st.Cost.AddSerial(ns)
 }
 
+// score returns bm's description length at the end of a sweep and
+// charges the time as serial work: the MDL pass runs on one goroutine.
+func score(bm *blockmodel.Blockmodel, st *Stats, sp *sweepProbe) float64 {
+	start := time.Now()
+	s := bm.MDL()
+	ns := float64(time.Since(start).Nanoseconds())
+	sp.score(ns)
+	st.Cost.AddSerial(ns)
+	return s
+}
+
 // newScratches allocates one evaluation Scratch per worker.
 func newScratches(workers int) []*blockmodel.Scratch {
 	out := make([]*blockmodel.Scratch, workers)

@@ -63,12 +63,13 @@ func newSchedule(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config) schedule 
 }
 
 // run is the one sweep loop every engine shares: guard, probe, the
-// serial pass, then each async pass with its rebuild, then the
-// convergence test. The phase draws one key from the master stream,
-// and every pass draws vertex v's randomness in sweep t from
-// rng.At(key, t, v).
-func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs) Stats {
-	st := Stats{Algorithm: s.alg, InitialS: bm.MDL()}
+// serial pass, then each async pass with its rebuild, then the MDL pass
+// and the convergence test. initialS is bm's description length; a
+// resumed phase takes Stats.InitialS from its record instead. The phase
+// draws one key from the master stream, and every pass draws vertex v's
+// randomness in sweep t from rng.At(key, t, v).
+func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *phaseObs, initialS float64) Stats {
+	st := Stats{Algorithm: s.alg, InitialS: initialS}
 	scratches := newScratches(s.workers)
 	sc := blockmodel.NewScratch()
 	// Size the sweep record and the move buffers for the widest pass so
@@ -123,7 +124,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 			}
 		}
 		st.Sweeps++
-		cur := bm.MDL()
+		cur := score(bm, &st, sp)
 		st.PerSweep = append(st.PerSweep, sp.finish(&st, cur))
 		if converged(prev, cur, cfg.Threshold) {
 			st.Converged = true
@@ -132,7 +133,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 		}
 		prev = cur
 	}
-	st.FinalS = bm.MDL()
+	st.FinalS = prev
 	return st
 }
 

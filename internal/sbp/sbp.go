@@ -425,7 +425,9 @@ func run(g *graph.Graph, opts Options, rs *snapshot.SearchState) (*Result, error
 			check.MustInvariants(work, "post-compaction invariants")
 		}
 
-		mdl := work.MDL()
+		// Compact drops only empty blocks, which leaves the MDL's bits
+		// as they were, so the phase's final MDL is the compacted model's.
+		mdl := cs.FinalS
 		it := IterationStats{
 			StartBlocks:  fromC,
 			TargetBlocks: target,

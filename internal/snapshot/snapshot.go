@@ -40,8 +40,11 @@ const (
 	// stream layout, which no longer exists. Version 3 drops the
 	// settings only one value ever reached: the search's empty-block
 	// switch, reduction factor and golden ratio, and the stream's
-	// empty-block switch and work partition.
-	Version uint32 = 3
+	// empty-block switch and work partition. Version 4 stores MDL bits
+	// summed from the x·ln x split of the log-likelihood; a version 3
+	// checkpoint's bits come from the direct sum and would fail the
+	// exact MDL check on restore as if the membership were wrong.
+	Version uint32 = 4
 	// headerSize is magic + version + payload length.
 	headerSize = 16
 	// maxPayload bounds a declared payload length; anything larger is a

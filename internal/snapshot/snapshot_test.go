@@ -167,9 +167,9 @@ func TestBitFlipDetected(t *testing.T) {
 }
 
 // TestWrongVersion refuses a newer container, a version 1 one, whose
-// RNG state is a position in the per-worker stream layout, and a
-// version 2 one, whose payload still holds the settings version 3
-// dropped.
+// RNG state is a position in the per-worker stream layout, a version 2
+// one, whose payload still holds the settings version 3 dropped, and a
+// version 3 one, whose MDL bits come from the direct log-likelihood sum.
 func TestWrongVersion(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
@@ -180,7 +180,7 @@ func TestWrongVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{1, 2, Version + 1} {
+	for _, v := range []uint32{1, 2, 3, Version + 1} {
 		binary.BigEndian.PutUint32(raw[4:], v)
 		_, err = Unwrap(raw)
 		var ve *VersionError

@@ -140,6 +140,15 @@ func TestObsExpositionFromRun(t *testing.T) {
 	if got := metricValue(t, text, "sbp_mdl"); got != res.MDL {
 		t.Errorf("registry final MDL %v, result reports %v", got, res.MDL)
 	}
+	var mdlNS float64
+	for _, it := range res.Iterations {
+		for _, rec := range it.MCMC.PerSweep {
+			mdlNS += rec.MDLNS
+		}
+	}
+	if got := metricValue(t, text, `mcmc_mdl_ns_total{engine="A-SBP"}`); got != mdlNS || got <= 0 {
+		t.Errorf("registry saw %v ns of MDL passes, sweep records %v", got, mdlNS)
+	}
 }
 
 // metricValue extracts one sample's value from Prometheus text.

@@ -4,7 +4,9 @@
 # final memberships (written with -out) to be byte-identical, so the
 # move exchange left both replicas in one state, and their final MDLs
 # (printed as final_mdl=...) to match — the cross-process version of
-# the transport-equivalence tests in internal/dist/net. Used by CI;
+# the transport-equivalence tests in internal/dist/net. Both ranks run
+# with -verify, so a replica that drifts from its own membership fails
+# the run even where the ranks would agree on the wrong MDL. Used by CI;
 # runnable locally with no arguments.
 set -euo pipefail
 
@@ -19,7 +21,7 @@ go build -o "$tmp/dsbp" ./cmd/dsbp
   -seed 7 -out "$tmp/graph.tsv"
 
 peers="127.0.0.1:39401,127.0.0.1:39402"
-common=(-peers "$peers" -graph "$tmp/graph.tsv" -communities 6 -mode hybrid -seed 11 -max-sweeps 30)
+common=(-peers "$peers" -graph "$tmp/graph.tsv" -communities 6 -mode hybrid -seed 11 -max-sweeps 30 -verify)
 
 "$tmp/dsbp" -rank 0 "${common[@]}" -out "$tmp/rank0.membership" >"$tmp/rank0.out" 2>"$tmp/rank0.err" &
 pid0=$!
