@@ -28,6 +28,49 @@ func benchModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
 	return bm, rng.New(2)
 }
 
+// boundaryModel returns one state at c = DenseThreshold (dense storage)
+// or DenseThreshold+1 (sparse storage, the last block empty): a uniform
+// random partition of a 2,900-vertex planted graph into DenseThreshold
+// blocks, with about 10% of the cells nonzero, the fill of a search's
+// middle phases.
+func boundaryModel(b *testing.B, c int) (*Blockmodel, *rng.RNG) {
+	b.Helper()
+	planted, r := benchModel(b, 2900, 32)
+	a := make([]int32, planted.G.NumVertices())
+	for i := range a {
+		a[i] = int32(r.Intn(sparse.DenseThreshold))
+	}
+	bm, err := FromAssignment(planted.G, a, c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bm, r
+}
+
+// earlyModel returns a uniform random partition of g into V/2 blocks,
+// the shape of an early search iteration, in sparse storage.
+func earlyModel(b *testing.B, g *graph.Graph, r *rng.RNG) *Blockmodel {
+	b.Helper()
+	c := g.NumVertices() / 2
+	a := make([]int32, g.NumVertices())
+	for i := range a {
+		a[i] = int32(r.Intn(c))
+	}
+	bm, err := FromAssignment(g, a, c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bm
+}
+
+// storageName is the case name of a model: its storage mode and C.
+func storageName(bm *Blockmodel) string {
+	if bm.M.IsDense() {
+		return fmt.Sprintf("dense/C=%d", bm.C)
+	}
+	return fmt.Sprintf("sparse/C=%d", bm.C)
+}
+
 func BenchmarkEvalMove(b *testing.B) {
 	for _, c := range []int{8, 64, 512} {
 		b.Run("C="+strconv.Itoa(c), func(b *testing.B) {
@@ -45,33 +88,30 @@ func BenchmarkEvalMove(b *testing.B) {
 
 // BenchmarkEvalMoveWithHastings times a move's ΔS and Hastings
 // correction on random vertices and targets: a planted graph in dense
-// (C = 32) and sparse (C = 512) storage, and the degree-1 vertices of
-// the powerlaw-hub shape (about 8% of its vertices) in both modes.
+// storage (C = 32), boundaryModel's state on both sides of
+// DenseThreshold, and the degree-1 vertices of the powerlaw-hub shape
+// (about 8% of its vertices) in both modes.
 func BenchmarkEvalMoveWithHastings(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
 		c      int
+		model  func(b *testing.B, c int) (*Blockmodel, *rng.RNG)
 		leaves bool
 	}{
-		{"dense/C=32", 32, false},
-		{"sparse/C=512", 512, false},
-		{"leaves/dense/C=8", 8, true},
-		{"leaves/sparse/C=512", 512, true},
+		{32, planted2000, false},
+		{sparse.DenseThreshold, boundaryModel, false},
+		{sparse.DenseThreshold + 1, boundaryModel, false},
+		{8, hub2000, true},
+		{sparse.DenseThreshold + 1, hub2000, true},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var bm *Blockmodel
-			var r *rng.RNG
+		bm, r := bc.model(b, bc.c)
+		name := storageName(bm)
+		if bc.leaves {
+			name = "leaves/" + name
+		}
+		b.Run(name, func(b *testing.B) {
 			var vs []int
-			if bc.leaves {
-				bm, r = hubModel(b, 2000, bc.c)
-				for v := 0; v < bm.G.NumVertices(); v++ {
-					if bm.G.Degree(v) == 1 {
-						vs = append(vs, v)
-					}
-				}
-			} else {
-				bm, r = benchModel(b, 2000, bc.c)
-				for v := 0; v < bm.G.NumVertices(); v++ {
+			for v := 0; v < bm.G.NumVertices(); v++ {
+				if !bc.leaves || bm.G.Degree(v) == 1 {
 					vs = append(vs, v)
 				}
 			}
@@ -86,6 +126,9 @@ func BenchmarkEvalMoveWithHastings(b *testing.B) {
 		})
 	}
 }
+
+func planted2000(b *testing.B, c int) (*Blockmodel, *rng.RNG) { return benchModel(b, 2000, c) }
+func hub2000(b *testing.B, c int) (*Blockmodel, *rng.RNG)     { return hubModel(b, 2000, c) }
 
 // hubModel builds the powerlaw-hub benchmark shape (a shallow degree
 // exponent, minimum degree 1 and hubs up to a quarter of the vertex
@@ -121,58 +164,72 @@ func BenchmarkApplyMove(b *testing.B) {
 	}
 }
 
+// BenchmarkProposeVertexMove times a vertex proposal on random vertices:
+// the planted C = 32 partition, and boundaryModel's state on both sides
+// of DenseThreshold, where a proposal that walks row or column t of M
+// scans the dense row or column or reads the sparse lists.
 func BenchmarkProposeVertexMove(b *testing.B) {
-	bm, r := benchModel(b, 2000, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bm.ProposeVertexMove(r.Intn(2000), bm.Assignment, r)
+	for _, c := range []int{32, sparse.DenseThreshold, sparse.DenseThreshold + 1} {
+		model := boundaryModel
+		if c == 32 {
+			model = planted2000
+		}
+		bm, r := model(b, c)
+		n := bm.G.NumVertices()
+		b.Run(storageName(bm), func(b *testing.B) {
+			var sink int32
+			for i := 0; i < b.N; i++ {
+				sink += bm.ProposeVertexMove(r.Intn(n), bm.Assignment, r)
+			}
+			proposeSink = sink
+		})
 	}
 }
+
+var proposeSink int32
 
 // BenchmarkRebuild times ApplyMoves' two paths on the same rebuilds,
 // each iteration alternating between two memberships that differ in the
 // given share of vertices: incremental applies the move list one move
-// at a time, recount recounts everything. Dense mode is the planted
-// C=32 partition; sparse mode a uniform random one at C=V/2, the shape
-// of an early search iteration. recountShare cites where the paths
-// cross.
+// at a time, recount recounts everything in place. The states are the
+// planted C=32 partition of 5,000 vertices (dense storage), a uniform
+// random partition of them at C=V/2 (sparse storage, the shape of an
+// early search iteration), and boundaryModel's state on both sides of
+// DenseThreshold, whose moved vertices stay in its DenseThreshold
+// blocks. recountShare cites where the paths cross.
 func BenchmarkRebuild(b *testing.B) {
 	const v = 5000
+	planted, r := benchModel(b, v, 32)
+	earlyBM := earlyModel(b, planted.G, r)
+	dense, _ := boundaryModel(b, sparse.DenseThreshold)
+	sparse1, _ := boundaryModel(b, sparse.DenseThreshold+1)
 	for _, mode := range []struct {
-		name string
-		c    int
-	}{{"dense", 32}, {"sparse", v / 2}} {
+		bm     *Blockmodel
+		blocks int // the blocks the memberships use
+	}{{planted, 32}, {earlyBM, v / 2}, {dense, sparse.DenseThreshold}, {sparse1, sparse.DenseThreshold}} {
 		for _, pct := range []int{1, 5, 10, 20, 50} {
+			a := mode.bm.Assignment
+			n := len(a)
+			r := rng.New(uint64(pct))
+			moved := append([]int32(nil), a...)
+			for _, i := range r.Perm(n)[:n*pct/100] {
+				moved[i] = int32((int(a[i]) + 1 + r.Intn(mode.blocks-1)) % mode.blocks)
+			}
+			memberships := [2][]int32{a, moved}
+			lists := [2][][]int32{{diffMoves(moved, a)}, {diffMoves(a, moved)}}
 			for _, path := range []string{"incremental", "recount"} {
-				b.Run(fmt.Sprintf("%s/moved=%d%%/%s", mode.name, pct, path), func(b *testing.B) {
-					planted, r := benchModel(b, v, 32)
-					a := planted.Assignment
-					if mode.c != 32 {
-						a = make([]int32, v)
-						for i := range a {
-							a[i] = int32(r.Intn(mode.c))
-						}
-					}
-					moved := append([]int32(nil), a...)
-					for _, i := range r.Perm(v)[:v*pct/100] {
-						moved[i] = int32((int(a[i]) + 1 + r.Intn(mode.c-1)) % mode.c)
-					}
-					bm, err := FromAssignment(planted.G, a, mode.c, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					memberships := [2][]int32{a, moved}
-					lists := [2][][]int32{{diffMoves(moved, a)}, {diffMoves(a, moved)}}
+				b.Run(fmt.Sprintf("%s/moved=%d%%/%s", storageName(mode.bm), pct, path), func(b *testing.B) {
+					bm := mode.bm.Clone()
 					sc := NewScratch()
 					step := func(i int) {
 						if path == "incremental" {
 							bm.applyEach(lists[(i+1)%2], sc)
 						} else {
 							copy(bm.Assignment, memberships[(i+1)%2])
-							bm.rebuildCounts()
+							bm.rebuildCounts(sc)
 						}
 					}
-					step(0) // grow the sparse rows to both memberships' needs
+					step(0) // grow the sparse rows and sc to both memberships' needs
 					step(1)
 					b.ReportAllocs()
 					b.ResetTimer()
@@ -185,30 +242,18 @@ func BenchmarkRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMDL times the description length of one state on 5,000
-// vertices: the planted C=64 partition in dense storage, and uniform
-// random partitions in sparse storage just above DenseThreshold and at
-// C=V/2, the shape of an early search iteration.
+// BenchmarkMDL times the description length of one state: the planted
+// C=64 partition of 5,000 vertices in dense storage, boundaryModel's
+// state on both sides of DenseThreshold, and a uniform random partition
+// of the 5,000 vertices at C=V/2, the shape of an early search
+// iteration.
 func BenchmarkMDL(b *testing.B) {
-	const v = 5000
-	planted, r := benchModel(b, v, 64)
-	for _, c := range []int{64, sparse.DenseThreshold + 1, v / 2} {
-		bm := planted
-		if c != 64 {
-			a := make([]int32, v)
-			for i := range a {
-				a[i] = int32(r.Intn(c))
-			}
-			var err error
-			if bm, err = FromAssignment(planted.G, a, c, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mode := "sparse"
-		if bm.M.IsDense() {
-			mode = "dense"
-		}
-		b.Run(fmt.Sprintf("%s/C=%d", mode, c), func(b *testing.B) {
+	planted, r := benchModel(b, 5000, 64)
+	earlyBM := earlyModel(b, planted.G, r)
+	dense, _ := boundaryModel(b, sparse.DenseThreshold)
+	sparse1, _ := boundaryModel(b, sparse.DenseThreshold+1)
+	for _, bm := range []*Blockmodel{planted, dense, sparse1, earlyBM} {
+		b.Run(storageName(bm), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mdlSink = bm.MDL()

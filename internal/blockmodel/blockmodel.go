@@ -54,7 +54,7 @@ func FromAssignment(g *graph.Graph, assignment []int32, c int, workers int) (*Bl
 		}
 	}
 	bm := &Blockmodel{G: g, C: c, Assignment: append([]int32(nil), assignment...)}
-	bm.rebuildCounts()
+	bm.rebuildCounts(nil)
 	return bm, nil
 }
 
@@ -91,16 +91,30 @@ func Identity(g *graph.Graph) *Blockmodel {
 }
 
 // rebuildCounts recomputes M, degrees and sizes from Assignment on one
-// goroutine, in O(V + E + C) time and a fixed number of allocations:
-// one pass over the vertices sums the degrees and sizes, and a counting
-// pass lists, for each block s, the tail's block of every edge whose
-// head is in s. Those lists are the columns of M.
-func (bm *Blockmodel) rebuildCounts() {
+// goroutine, in O(V + E + C) time: one pass over the vertices sums the
+// degrees and sizes, and a counting pass lists, for each block s, the
+// tail's block of every edge whose head is in s. Those lists are the
+// columns of M.
+//
+// Given a Scratch (ApplyMoves' recount, at an unchanged C) it refills
+// the degrees, sizes and M in place and takes its lists from sc, so a
+// warmed recount in dense storage allocates nothing. Without one
+// (FromAssignment, and renumber at a new C) it allocates them all, a
+// fixed number of allocations.
+func (bm *Blockmodel) rebuildCounts(sc *Scratch) {
 	g, c := bm.G, bm.C
-	bm.DOut = make([]int64, c)
-	bm.DIn = make([]int64, c)
-	bm.DTot = make([]int64, c)
-	bm.Sizes = make([]int32, c)
+	inPlace := sc != nil
+	if inPlace {
+		clear(bm.DOut)
+		clear(bm.DIn)
+		clear(bm.Sizes)
+	} else {
+		sc = &Scratch{}
+		bm.DOut = make([]int64, c)
+		bm.DIn = make([]int64, c)
+		bm.DTot = make([]int64, c)
+		bm.Sizes = make([]int32, c)
+	}
 	for v, r := range bm.Assignment {
 		bm.Sizes[r]++
 		bm.DOut[r] += int64(g.OutDegree(v))
@@ -108,7 +122,8 @@ func (bm *Blockmodel) rebuildCounts() {
 	}
 	// at[s] starts as the end of column s and is counted down to its
 	// start while the column is filled.
-	at := make([]int, c+1)
+	sc.at = resize(sc.at, c+1)
+	at := sc.at
 	e := 0
 	for s := 0; s < c; s++ {
 		bm.DTot[s] = bm.DOut[s] + bm.DIn[s]
@@ -116,7 +131,8 @@ func (bm *Blockmodel) rebuildCounts() {
 		at[s] = e
 	}
 	at[c] = e
-	tails := make([]int32, e)
+	sc.tails = resize(sc.tails, e)
+	tails := sc.tails
 	for v, s := range bm.Assignment {
 		in := g.InNeighbors(v)
 		at[s] -= len(in)
@@ -125,21 +141,42 @@ func (bm *Blockmodel) rebuildCounts() {
 			col[i] = bm.Assignment[u]
 		}
 	}
-	bm.M = sparse.FromColumns(c, at, tails)
+	if inPlace {
+		bm.M.Refill(at, tails)
+	} else {
+		bm.M = sparse.FromColumns(c, at, tails)
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are left as they were.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // recountShare is the share of the 2E edge endpoints, counted at the
 // vertices whose block changed, above which ApplyMoves recounts every
 // count instead of applying the moves one by one.
-// BenchmarkRebuild times both paths on 5,000 vertices with 1% to 50% of
-// them moved. On a 2-vCPU linux-amd64 host they cross near 5% moved in
-// sparse mode (C=V/2: a recount takes about 1.9 ms, the update 0.43 ms
-// at 1% and 3.5 ms at 10%) and near 24% in dense mode (C=32: about
-// 0.33 ms, against 0.10 ms at 10% and 0.25 ms at 20%). One constant
-// serves both, so it sits just above the sparse crossing, where the
-// wrong path costs the most. Summed over whole A-SBP and B-SBP searches
-// and D-H-SBP phases, rebuild time at 6% is within about 5% of its
-// minimum over thresholds, and 4% to 60% lower than at 40%.
+// BenchmarkRebuild times both paths with 1% to 50% of the vertices
+// moved. On a 2-vCPU linux-amd64 host (medians of six runs at -cpu 1)
+// they cross near 5% moved in sparse mode (5,000 vertices at C=V/2: a
+// recount takes about 1.6 ms, the update 0.29 ms at 1% and 3.9 ms at
+// 10%) and near 20% in dense mode (the planted C=32 partition: about
+// 0.27 ms, against 0.13 ms at 10% and 0.26 ms at 20%). At the top of
+// dense storage, C=512 with 10% of the cells nonzero, they cross near
+// 27% (a recount 0.30–0.34 ms, the update 7.5 µs at 1%, 0.20 ms at 20%
+// and 0.68 ms at 50%); one block above it, in sparse storage, near 3%
+// (0.57–0.65 ms, against 0.16 ms at 1% and 0.95 ms at 5%). One constant
+// serves both modes, so it sits just above the sparse crossing, where
+// the wrong path costs the most. Summed over whole A-SBP and B-SBP
+// searches and D-H-SBP phases, rebuild time at 6% was within about 5% of
+// its minimum over thresholds, and 4% to 60% lower than at 40%, when
+// dense storage ended at 256 blocks. Since it ends at 512, a share of
+// 0.27 in dense storage was no faster on either search workload of the
+// end-to-end benchmark (3 pairs each).
 const recountShare = 0.06
 
 // ApplyMoves brings the model up to date with accepted moves: the
@@ -151,7 +188,8 @@ const recountShare = 0.06
 // When the moved vertices hold at most recountShare of the edge
 // endpoints, each move goes through ApplyMove's update, one pair of
 // Adds per distinct neighbour block, without allocating once sc and
-// the sparse rows have grown; otherwise every count is recounted. Both
+// the sparse rows have grown; otherwise every count is recounted in
+// place, without allocating in dense storage once sc has grown. Both
 // paths run on the calling goroutine. M holds integer counts and sparse
 // rows stay sorted, so both leave the identical state. It reports
 // whether it recounted.
@@ -173,7 +211,7 @@ func (bm *Blockmodel) ApplyMoves(lists [][]int32, sc *Scratch) (recounted bool) 
 			bm.Assignment[l[i]] = l[i+1]
 		}
 	}
-	bm.rebuildCounts()
+	bm.rebuildCounts(sc)
 	return true
 }
 
@@ -283,7 +321,7 @@ func (bm *Blockmodel) renumber(remap []int32, c int) {
 		bm.Assignment[v] = remap[b]
 	}
 	bm.C = c
-	bm.rebuildCounts()
+	bm.rebuildCounts(nil)
 }
 
 // Validate recomputes all counts from scratch and reports the first

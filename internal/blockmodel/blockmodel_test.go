@@ -182,7 +182,7 @@ func rebuildMustMatch(t *testing.T, bm *Blockmodel, membership []int32, what str
 // TestRebuildFromMatchesRecount pins the incremental rebuild to the
 // recount on both sides of recountShare, in both storage modes.
 func TestRebuildFromMatchesRecount(t *testing.T) {
-	for _, c := range []int{8, 300} {
+	for _, c := range []int{8, sparse.DenseThreshold + 44} {
 		r := rng.New(uint64(c))
 		g := rebuildGraph(r, 600, 2400)
 		base := make([]int32, g.NumVertices())

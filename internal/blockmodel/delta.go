@@ -33,6 +33,8 @@ type Scratch struct {
 	c                      int      // block count of the loaded cells
 	r, s                   int32    // the blocks whose cells are loaded
 	edits                  []edit   // a merge's block-matrix adjustments
+	at                     []int    // a recount's column offsets
+	tails                  []int32  // a recount's columns of M, one tail block per edge
 }
 
 // NewScratch returns an empty Scratch ready for use.

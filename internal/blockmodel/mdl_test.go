@@ -201,11 +201,11 @@ func heavyGraph(rr *rng.RNG, n, e, leaves, isolated int) *graph.Graph {
 
 // TestLogLikelihoodMatchesReference requires the x·ln x split to agree
 // with the direct formula within 1e-12 relative on random states, in
-// dense (C = 1, 3, 16, 256) and sparse (C = 257, 900) storage. The
-// states leave some blocks empty, give the isolated vertices a block of
-// their own (a zero-degree block), and the graph has self-loops,
-// multi-edges, and cells and block degrees of 4096 or more. The test
-// fails if one of those cases was never reached.
+// dense (C = 1, 3, 16, DenseThreshold) and sparse (C = DenseThreshold+1,
+// 900) storage. The states leave some blocks empty, give the isolated
+// vertices a block of their own (a zero-degree block), and the graph
+// has self-loops, multi-edges, and cells and block degrees of 4096 or
+// more. The test fails if one of those cases was never reached.
 func TestLogLikelihoodMatchesReference(t *testing.T) {
 	const n, leaves, isolated, states = 400, 40, 20, 12
 	var seen struct{ empty, zeroDegree, bigCell, bigDegree int }
@@ -294,7 +294,7 @@ func TestMDLBitsSameAcrossStorage(t *testing.T) {
 func TestMDLBitsSurviveCompact(t *testing.T) {
 	rr := rng.New(37)
 	g := heavyGraph(rr, 500, 4000, 40, 10)
-	for _, c := range []int{12, 300} {
+	for _, c := range []int{12, sparse.DenseThreshold + 44} {
 		empty := map[int]bool{0: true, c / 2: true, c - 1: true}
 		for r := c / 3; len(empty) < c/5; r++ {
 			empty[r] = true
@@ -314,9 +314,13 @@ func TestMDLBitsSurviveCompact(t *testing.T) {
 		}
 		bm := mustFromAssignment(t, g, assign, c)
 		before := bm.MDL()
+		wasDense := bm.M.IsDense()
 		bm.Compact()
 		if bm.C != len(used) {
 			t.Fatalf("C=%d: Compact kept %d blocks, want %d", c, bm.C, len(used))
+		}
+		if c > sparse.DenseThreshold && (wasDense || !bm.M.IsDense()) {
+			t.Fatalf("C=%d: Compact did not move the model from sparse into dense storage", c)
 		}
 		if after := bm.MDL(); math.Float64bits(after) != math.Float64bits(before) {
 			t.Fatalf("C=%d: MDL %.17g before Compact, %.17g after", c, before, after)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // This file holds the performance-contract tests behind the benchmark
@@ -84,7 +85,7 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 // sparse rows, the incremental rebuild allocates nothing. RebuildFrom
 // from an unchanged membership allocates nothing either.
 func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
-	for _, c := range []int{8, 300} {
+	for _, c := range []int{8, sparse.DenseThreshold + 44} {
 		r := rng.New(7)
 		g := rebuildGraph(r, 600, 2400)
 		a := make([]int32, g.NumVertices())
@@ -113,6 +114,44 @@ func TestRebuildFromIncrementalZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestApplyMovesRecountInPlace drives ApplyMoves down its recount path
+// in dense storage at C = DenseThreshold, alternating between two
+// memberships about 30% apart with one warmed Scratch: the recount
+// refills the model in place and allocates nothing, and it leaves the
+// state a fresh FromAssignment gives, before and after the warm calls.
+func TestApplyMovesRecountInPlace(t *testing.T) {
+	c := sparse.DenseThreshold
+	r := rng.New(13)
+	g := rebuildGraph(r, 2000, 8000)
+	a := make([]int32, g.NumVertices())
+	for v := range a {
+		a[v] = int32(r.Intn(c))
+	}
+	b := moveFraction(r, a, c, 0.3)
+	bm := mustFromAssignment(t, g, a, c)
+	if !bm.M.IsDense() {
+		t.Fatalf("C=%d model uses sparse storage", c)
+	}
+	if !rebuildMustMatch(t, bm, b, "30% moved") {
+		t.Fatal("30% moved took the incremental path")
+	}
+	lists := [2][][]int32{{diffMoves(b, a)}, {diffMoves(a, b)}}
+	sc := NewScratch()
+	bm.ApplyMoves(lists[0], sc)
+	i := 1
+	allocs := testing.AllocsPerRun(20, func() {
+		if !bm.ApplyMoves(lists[i%2], sc) {
+			t.Fatal("warm call took the incremental path")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed dense recount allocates %.1f times per call, want 0", allocs)
+	}
+	rebuildMustMatch(t, bm, append([]int32(nil), bm.Assignment...), "after the warm calls")
+	rebuildMustMatch(t, bm, moveFraction(r, bm.Assignment, c, 0.3), "30% moved after the warm calls")
+}
+
 // diffMoves returns the move list that takes membership from to to:
 // (v, to[v]) for every vertex whose block differs, in vertex order.
 func diffMoves(from, to []int32) []int32 {
@@ -134,7 +173,7 @@ func TestFromAssignmentSparseAllocs(t *testing.T) {
 	g := rebuildGraph(r, 6000, 24000)
 	runtime.GC() // start the collector's workers outside the count
 	var allocs []float64
-	for _, c := range []int{300, 3000} {
+	for _, c := range []int{sparse.DenseThreshold + 44, 3000} {
 		a := make([]int32, g.NumVertices())
 		for v := range a {
 			a[v] = int32(r.Intn(c))
@@ -142,8 +181,8 @@ func TestFromAssignmentSparseAllocs(t *testing.T) {
 		allocs = append(allocs, testing.AllocsPerRun(5, func() { mustFromAssignment(t, g, a, c) }))
 	}
 	if allocs[0] != allocs[1] || allocs[1] > 32 {
-		t.Fatalf("FromAssignment allocates %.0f times at C=300 and %.0f at C=3000, want the same and at most 32",
-			allocs[0], allocs[1])
+		t.Fatalf("FromAssignment allocates %.0f times at C=%d and %.0f at C=3000, want the same and at most 32",
+			allocs[0], sparse.DenseThreshold+44, allocs[1])
 	}
 }
 

@@ -81,8 +81,10 @@ func (bm *Blockmodel) sampleBlockNeighbor(t int, rn *rng.RNG) int32 {
 }
 
 // sampleBlockEdgeEndpoint draws x uniform over the DTot[t] edge endpoints
-// incident on block t and walks row t then column t of M to find the
-// block owning the x-th endpoint.
+// incident on block t and walks row t then column t of M, in ascending
+// block order, to find the block owning the x-th endpoint. In dense
+// storage the walk reads row t in place and column t at stride C; a
+// zero cell never owns x, so neither skips it.
 //
 // The draw stays in int64 end to end: DTot is an int64 edge-endpoint
 // mass, and squeezing it through int for Intn would overflow on 32-bit
@@ -94,33 +96,48 @@ func (bm *Blockmodel) sampleBlockNeighbor(t int, rn *rng.RNG) int32 {
 // which always fit in int.
 func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 	x := rn.Int63n(bm.DTot[t])
-	var chosen int32 = -1
+	c := bm.C
+	data, dense := bm.M.DenseData()
 	if x < bm.DOut[t] {
-		bm.M.RowNZUntil(t, func(s int32, count int64) bool {
-			if x < count {
-				chosen = s
-				return false
+		if dense {
+			for s, m := range data[t*c : (t+1)*c] {
+				if x < m {
+					return int32(s)
+				}
+				x -= m
 			}
-			x -= count
-			return true
-		})
+		} else {
+			keys, vals, _ := bm.M.RowView(t)
+			for i, m := range vals {
+				if x < m {
+					return keys[i]
+				}
+				x -= m
+			}
+		}
 	} else {
 		x -= bm.DOut[t]
-		bm.M.ColNZUntil(t, func(s int32, count int64) bool {
-			if x < count {
-				chosen = s
-				return false
+		if dense {
+			for r := 0; r < c; r++ {
+				m := data[r*c+t]
+				if x < m {
+					return int32(r)
+				}
+				x -= m
 			}
-			x -= count
-			return true
-		})
+		} else {
+			keys, vals, _ := bm.M.ColView(t)
+			for i, m := range vals {
+				if x < m {
+					return keys[i]
+				}
+				x -= m
+			}
+		}
 	}
-	if chosen < 0 {
-		// Degrees and matrix disagree — possible only with a stale matrix
-		// in the asynchronous engines. Fall back to uniform.
-		return int32(rn.Intn(bm.C))
-	}
-	return chosen
+	// Degrees and matrix disagree — possible only with a stale matrix in
+	// the asynchronous engines. Fall back to uniform.
+	return int32(rn.Intn(c))
 }
 
 // HastingsCorrection returns p(s→r | b′) / p(r→s | b) for an evaluated

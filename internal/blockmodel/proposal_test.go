@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 func TestProposeVertexMoveInRange(t *testing.T) {
@@ -229,5 +230,86 @@ func TestSampleBlockEdgeEndpointDistribution(t *testing.T) {
 	}
 	if counts[0] != 0 {
 		t.Fatalf("block 0 has no incident edges to itself, yet chosen %d times", counts[0])
+	}
+}
+
+// referenceEndpoint is sampleBlockEdgeEndpoint's walk through RowNZ and
+// ColNZ: the same Int63n draw, row t then column t in ascending order,
+// and the same uniform fallback when the walk runs out.
+func referenceEndpoint(bm *Blockmodel, t int, rn *rng.RNG) int32 {
+	x := rn.Int63n(bm.DTot[t])
+	chosen := int32(-1)
+	walk := func(s int32, count int64) {
+		switch {
+		case chosen >= 0:
+		case x < count:
+			chosen = s
+		default:
+			x -= count
+		}
+	}
+	if x < bm.DOut[t] {
+		bm.M.RowNZ(t, walk)
+	} else {
+		x -= bm.DOut[t]
+		bm.M.ColNZ(t, walk)
+	}
+	if chosen < 0 {
+		return int32(rn.Intn(bm.C))
+	}
+	return chosen
+}
+
+// TestSampleBlockEdgeEndpointMatchesReference requires the sampler to
+// return the reference walk's block, and to leave the RNG where the
+// reference leaves it, for every block with incident edges over 40
+// seeds, in dense storage (C = 8 and DenseThreshold) and sparse storage
+// (C = DenseThreshold+1). A stale model, whose degrees claim endpoints
+// that block 0's empty row or column lacks, must take the uniform
+// fallback on both walks.
+func TestSampleBlockEdgeEndpointMatchesReference(t *testing.T) {
+	for _, c := range []int{8, sparse.DenseThreshold, sparse.DenseThreshold + 1} {
+		r := rng.New(uint64(c))
+		g := rebuildGraph(r, 2000, 8000)
+		a := make([]int32, g.NumVertices())
+		for v := range a {
+			a[v] = int32(1 + r.Intn(c-1)) // block 0 stays empty
+		}
+		bm := mustFromAssignment(t, g, a, c)
+		if bm.M.IsDense() != (c <= sparse.DenseThreshold) {
+			t.Fatalf("C=%d: unexpected storage mode", c)
+		}
+		for seed := uint64(0); seed < 40; seed++ {
+			got, want := rng.New(seed), rng.New(seed)
+			for b := 0; b < c; b++ {
+				if bm.DTot[b] == 0 {
+					continue
+				}
+				if s, ref := bm.sampleBlockEdgeEndpoint(b, got), referenceEndpoint(bm, b, want); s != ref {
+					t.Fatalf("C=%d seed %d block %d: sampled %d, reference %d", c, seed, b, s, ref)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("C=%d seed %d: the sampler consumed the RNG differently", c, seed)
+			}
+		}
+
+		// Block 0 is empty. Degrees of 5 put every draw on its empty row
+		// (out-degree) or its empty column (in-degree).
+		for _, out := range []int64{5, 0} {
+			stale := bm.Clone()
+			stale.DOut[0], stale.DIn[0], stale.DTot[0] = out, 5-out, 5
+			for seed := uint64(0); seed < 40; seed++ {
+				replay := rng.New(seed)
+				replay.Int63n(5)
+				fallback := int32(replay.Intn(c))
+				got, want := rng.New(seed), rng.New(seed)
+				s, ref := stale.sampleBlockEdgeEndpoint(0, got), referenceEndpoint(stale, 0, want)
+				if s != fallback || ref != fallback || got.Uint64() != want.Uint64() {
+					t.Fatalf("C=%d out-degree %d seed %d: sampled %d, reference %d, uniform fallback %d",
+						c, out, seed, s, ref, fallback)
+				}
+			}
+		}
 	}
 }

@@ -159,17 +159,17 @@ func referenceGraph(rr *rng.RNG, n, e, leaves, isolated int) *graph.Graph {
 
 // TestEvalMoveMatchesTwoPassBits requires EvalMove's ΔS and Hastings
 // correction to equal the two-pass reference's bit for bit on 100k
-// random moves, over dense (C = 2, 8, 64) and sparse (C = 300, 900)
-// storage. The vertices of a sparse model occupy 40 scattered blocks so
-// that neighbour blocks land on r and s. Targets are drawn from v's
-// neighbour blocks, from the proposal distribution and uniformly, and a
-// quarter of the moves are applied so the state keeps changing. The
-// test counts the cases the walk branches on and fails if one was
-// reached fewer than 100 times.
+// random moves, over dense (C = 2, 8, 64) and sparse (C =
+// DenseThreshold+44, 900) storage. The vertices of a sparse model
+// occupy 40 scattered blocks so that neighbour blocks land on r and s.
+// Targets are drawn from v's neighbour blocks, from the proposal
+// distribution and uniformly, and a quarter of the moves are applied so
+// the state keeps changing. The test counts the cases the walk branches
+// on and fails if one was reached fewer than 100 times.
 func TestEvalMoveMatchesTwoPassBits(t *testing.T) {
 	const n, leaves, isolated, movesPerC = 500, 60, 20, 20000
 	var seen struct{ selfLoopRAbsent, selfLoopSAbsent, leaf, isolated, tIsR, tIsS int }
-	for _, c := range []int{2, 8, 64, 300, 900} {
+	for _, c := range []int{2, 8, 64, sparse.DenseThreshold + 44, 900} {
 		rr := rng.New(uint64(1000 + c))
 		g := referenceGraph(rr, n, 2000, leaves, isolated)
 		blocks := c

@@ -1,7 +1,7 @@
 package sparse
 
 // Table-driven edge-case tests for the block matrix, run against both
-// the dense and the hash-map representation: empty rows, self-loop
+// the dense array and the sorted nonzero lists: empty rows, self-loop
 // diagonals, merge-style edit lists that fold a row into itself, entries
 // that return to zero, and clone-then-mutate independence.
 
@@ -40,12 +40,6 @@ func TestEmptyRowIteration(t *testing.T) {
 		}
 		if m.RowSum(0) != 0 || m.ColSum(0) != 0 {
 			t.Fatalf("empty row/column sums = %d/%d, want 0/0", m.RowSum(0), m.ColSum(0))
-		}
-		if !m.RowNZUntil(0, func(int32, int64) bool { return false }) {
-			t.Fatal("RowNZUntil over an empty row reported early exit")
-		}
-		if !m.ColNZUntil(0, func(int32, int64) bool { return false }) {
-			t.Fatal("ColNZUntil over an empty column reported early exit")
 		}
 	})
 }

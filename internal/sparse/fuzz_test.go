@@ -145,7 +145,7 @@ func FuzzSparseOps(f *testing.F) {
 		}
 		c := 1 + int(data[0]%6)
 		if data[1]&1 == 1 {
-			// Push past DenseThreshold to exercise the hash-map
+			// Push past DenseThreshold to exercise the sorted-list
 			// representation with the same op sequence.
 			c += DenseThreshold
 		}

@@ -5,13 +5,15 @@
 //
 // Early SBP iterations have C on the order of the vertex count (every
 // vertex starts in its own block), so a dense C×C array is infeasible; M
-// is extremely sparse there. Late iterations have small C where dense
-// storage is far faster. The Matrix therefore switches representation:
+// is extremely sparse there. Later iterations have smaller C, where
+// dense storage is faster. The Matrix therefore switches representation:
 // sorted nonzero lists per row and per column above DenseThreshold
-// blocks, one dense array below. Both row and column iteration are
-// O(nonzeros) because the proposal distribution samples from row t and
-// column t, a merge's edit list walks row r and column r, and move
-// evaluation loads rows and columns r, s as lookup tables.
+// blocks, one dense row-major array at or below it. Sparse row and
+// column iteration is O(nonzeros); dense row iteration scans the row and
+// dense column iteration reads the column at stride C. The proposal
+// distribution samples from row t and column t, a merge's edit list
+// walks row r and column r, and move evaluation reads rows and columns
+// r, s.
 //
 // Iteration order is ascending index in BOTH modes. This is a hard
 // guarantee, not an implementation detail: float accumulations over
@@ -26,9 +28,24 @@ import (
 	"sort"
 )
 
-// DenseThreshold is the block count at or below which a freshly created
-// Matrix uses dense storage.
-const DenseThreshold = 256
+// DenseThreshold is the block count at or below which a Matrix uses
+// dense storage: at most 512² int64 cells, 2 MiB.
+//
+// The middle block counts of a search sit at or below it. On Table-1
+// graphs of about 1,150 vertices the longest MCMC phase of a search
+// runs at C ≈ 285, and a D-H-SBP phase on 4,096-vertex graphs at C =
+// 512, with about 10% of the cells nonzero. At that fill a dense cell
+// is read in place and updated with one store, while a sparse Add
+// shifts a sorted row and a sorted column and a proposal loads the
+// lists of rows and columns r and s. Moving from 256 to 512, with
+// Refill recounting in place, cut whole searches by about a fifth and
+// the D-H-SBP phase by a third on a 2-vCPU host. 1024 was slower than
+// 512 in 2 of 3 paired searches and raised peak memory from 25.4 to
+// 28.4 MB: it also stores the C ≈ 570 merge and MCMC phase densely,
+// where each merge proposal scans a whole row and a strided column
+// (that merge took 10.6 ms against 7.9 ms) and the MDL pass sums every
+// cell (304 against 43 µs a sweep).
+const DenseThreshold = 512
 
 // nzlist is one sparse row (or column): the nonzero entries as parallel
 // key/value slices kept sorted by key. Rows of the block matrix hold
@@ -118,6 +135,23 @@ func NewMatrix(c int) *Matrix {
 // s, in any order and with repeats, so M[r][s] is the number of times r
 // appears there. start has c+1 offsets. The storage mode is the one
 // NewMatrix picks for c.
+func FromColumns(c int, start []int, rows []int32) *Matrix {
+	m := NewMatrix(c)
+	m.fill(start, rows)
+	return m
+}
+
+// Refill replaces every count of m with the unit entries FromColumns
+// takes, keeping m's block count and storage mode. A dense m is cleared
+// and refilled in place and allocates nothing; a sparse m gets new row
+// and column lists, as FromColumns builds them.
+func (m *Matrix) Refill(start []int, rows []int32) {
+	clear(m.dense)
+	m.fill(start, rows)
+}
+
+// fill adds FromColumns' unit entries to a zero dense m, or sets every
+// row and column list of a sparse m.
 //
 // Sparse mode sorts nothing: a counting pass scatters the entries into
 // rows, visiting the columns in ascending order, so each row's columns
@@ -126,15 +160,15 @@ func NewMatrix(c int) *Matrix {
 // one backing array sized to the nonzeros, with capacity capped at each
 // list's end, so an Add that grows a list reallocates it instead of
 // writing into the next.
-func FromColumns(c int, start []int, rows []int32) *Matrix {
-	m := NewMatrix(c)
+func (m *Matrix) fill(start []int, rows []int32) {
+	c := m.c
 	if m.dense != nil {
 		for s := 0; s < c; s++ {
 			for _, r := range rows[start[s]:start[s+1]] {
 				m.dense[int(r)*c+s]++
 			}
 		}
-		return m
+		return
 	}
 
 	// at[r] starts as the offset of row r in byRow and ends as the offset
@@ -206,7 +240,6 @@ func FromColumns(c int, start []int, rows []int32) *Matrix {
 		m.cols[s] = nzlist{keys: colKeys[lo:hi:hi], vals: colVals[lo:hi:hi]}
 		lo = hi
 	}
-	return m
 }
 
 // NumBlocks returns C.
@@ -248,9 +281,8 @@ func (m *Matrix) Add(r, s int, delta int64) {
 // fn must not mutate the matrix.
 func (m *Matrix) RowNZ(r int, fn func(s int32, count int64)) {
 	if m.dense != nil {
-		base := r * m.c
-		for s := 0; s < m.c; s++ {
-			if v := m.dense[base+s]; v != 0 {
+		for s, v := range m.dense[r*m.c : (r+1)*m.c] {
+			if v != 0 {
 				fn(int32(s), v)
 			}
 		}
@@ -277,51 +309,6 @@ func (m *Matrix) ColNZ(s int, fn func(r int32, count int64)) {
 	for i, r := range col.keys {
 		fn(r, col.vals[i])
 	}
-}
-
-// RowNZUntil is RowNZ with early exit: iteration stops when fn returns
-// false. Returns false if iteration was stopped early.
-func (m *Matrix) RowNZUntil(r int, fn func(s int32, count int64) bool) bool {
-	if m.dense != nil {
-		base := r * m.c
-		for s := 0; s < m.c; s++ {
-			if v := m.dense[base+s]; v != 0 {
-				if !fn(int32(s), v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	row := &m.rows[r]
-	for i, s := range row.keys {
-		if !fn(s, row.vals[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ColNZUntil is ColNZ with early exit: iteration stops when fn returns
-// false. Returns false if iteration was stopped early.
-func (m *Matrix) ColNZUntil(s int, fn func(r int32, count int64) bool) bool {
-	if m.dense != nil {
-		for r := 0; r < m.c; r++ {
-			if v := m.dense[r*m.c+s]; v != 0 {
-				if !fn(int32(r), v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	col := &m.cols[s]
-	for i, r := range col.keys {
-		if !fn(r, col.vals[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // RowView returns row r's nonzero entries as parallel key/value slices

@@ -134,39 +134,6 @@ func TestEqualAsymmetricContent(t *testing.T) {
 	}
 }
 
-func TestRowNZUntilEarlyExit(t *testing.T) {
-	for _, c := range []int{8, DenseThreshold + 8} {
-		m := NewMatrix(c)
-		m.Add(0, 1, 1)
-		m.Add(0, 2, 1)
-		m.Add(0, 3, 1)
-		visits := 0
-		completed := m.RowNZUntil(0, func(int32, int64) bool {
-			visits++
-			return visits < 2
-		})
-		if completed {
-			t.Fatalf("c=%d: early exit not reported", c)
-		}
-		if visits != 2 {
-			t.Fatalf("c=%d: visited %d, want 2", c, visits)
-		}
-	}
-}
-
-func TestColNZUntilEarlyExit(t *testing.T) {
-	m := NewMatrix(8)
-	m.Add(1, 0, 1)
-	m.Add(2, 0, 1)
-	visits := 0
-	if m.ColNZUntil(0, func(int32, int64) bool { visits++; return false }) {
-		t.Fatal("early exit not reported")
-	}
-	if visits != 1 {
-		t.Fatalf("visited %d, want 1", visits)
-	}
-}
-
 func TestNegativeSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
