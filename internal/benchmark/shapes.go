@@ -21,13 +21,15 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // ShapeData is one realized benchmark graph plus the two blockmodel
 // states the workloads evaluate against: the planted community
 // structure (small C, dense block matrix — the late-iteration regime)
-// and a pair-grouping assignment (C = V/2, sparse block matrix — the
-// iteration-1 regime where the paper's MCMC bottleneck lives).
+// and a pair-grouping assignment (C = V/2 but above
+// sparse.DenseThreshold, sparse block matrix — the iteration-1 regime
+// where the paper's MCMC bottleneck lives).
 type ShapeData struct {
 	Name   string
 	G      *graph.Graph
@@ -46,13 +48,16 @@ type Shape struct {
 }
 
 // pairGrouping assigns consecutive vertex pairs to one block each,
-// yielding the many-blocks sparse-matrix regime.
+// yielding the many-blocks sparse-matrix regime. The block count is at
+// least sparse.DenseThreshold+1, with the trailing blocks left empty, so
+// that the block matrix stays in sparse storage at small vertex counts
+// (at the 1,024-vertex smoke size, (n+1)/2 would be DenseThreshold).
 func pairGrouping(n int) ([]int32, int) {
 	a := make([]int32, n)
 	for v := range a {
 		a[v] = int32(v / 2)
 	}
-	return a, (n + 1) / 2
+	return a, max((n+1)/2, sparse.DenseThreshold+1)
 }
 
 // Shapes returns the benchmark graph shapes, in canonical order.

@@ -215,8 +215,8 @@ func searchSetup(fraction float64) func(sd *ShapeData, opts Options) (runFunc, e
 
 // setupSparseRowWalk measures raw block-matrix row iteration over the
 // iteration-1 matrix — the primitive underneath the row/column
-// lookup-table loads on the ΔMDL path and the merge edit lists (the
-// ~4x sorted-nonzero win lives here).
+// lookup-table loads on the ΔMDL path and the merge's walks of row and
+// column r (the ~4x sorted-nonzero win lives here).
 func setupSparseRowWalk(sd *ShapeData, opts Options) (runFunc, error) {
 	bm, err := blockmodel.FromAssignment(sd.G, sd.SparseAssign, sd.SparseC, 1)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // benchModel builds a structured model at the requested block count.
-func benchModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
+func benchModel(b testing.TB, v, c int) (*Blockmodel, *rng.RNG) {
 	b.Helper()
 	g, truth, err := gen.Generate(gen.Spec{
 		Name: "bench", Vertices: v, Communities: c, MinDegree: 5, MaxDegree: 50,
@@ -33,7 +33,7 @@ func benchModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
 // random partition of a 2,900-vertex planted graph into DenseThreshold
 // blocks, with about 10% of the cells nonzero, the fill of a search's
 // middle phases.
-func boundaryModel(b *testing.B, c int) (*Blockmodel, *rng.RNG) {
+func boundaryModel(b testing.TB, c int) (*Blockmodel, *rng.RNG) {
 	b.Helper()
 	planted, r := benchModel(b, 2900, 32)
 	a := make([]int32, planted.G.NumVertices())
@@ -94,7 +94,7 @@ func BenchmarkEvalMove(b *testing.B) {
 func BenchmarkEvalMoveWithHastings(b *testing.B) {
 	for _, bc := range []struct {
 		c      int
-		model  func(b *testing.B, c int) (*Blockmodel, *rng.RNG)
+		model  func(b testing.TB, c int) (*Blockmodel, *rng.RNG)
 		leaves bool
 	}{
 		{32, planted2000, false},
@@ -127,13 +127,13 @@ func BenchmarkEvalMoveWithHastings(b *testing.B) {
 	}
 }
 
-func planted2000(b *testing.B, c int) (*Blockmodel, *rng.RNG) { return benchModel(b, 2000, c) }
-func hub2000(b *testing.B, c int) (*Blockmodel, *rng.RNG)     { return hubModel(b, 2000, c) }
+func planted2000(b testing.TB, c int) (*Blockmodel, *rng.RNG) { return benchModel(b, 2000, c) }
+func hub2000(b testing.TB, c int) (*Blockmodel, *rng.RNG)     { return hubModel(b, 2000, c) }
 
 // hubModel builds the powerlaw-hub benchmark shape (a shallow degree
 // exponent, minimum degree 1 and hubs up to a quarter of the vertex
 // count) planted at c blocks.
-func hubModel(b *testing.B, v, c int) (*Blockmodel, *rng.RNG) {
+func hubModel(b testing.TB, v, c int) (*Blockmodel, *rng.RNG) {
 	b.Helper()
 	g, truth, err := gen.Generate(gen.Spec{
 		Name: "plaw-hub", Vertices: v, Communities: c, MinDegree: 1, MaxDegree: v / 4,
@@ -264,17 +264,40 @@ func BenchmarkMDL(b *testing.B) {
 
 var mdlSink float64
 
+// BenchmarkEvalMerge times scoring one block's 10 merge candidates, as
+// the merge phase does for every block, on random non-empty blocks with
+// targets from ProposeMerge: the planted C = 64 partition of 2,000
+// vertices in dense storage, boundaryModel's state on both sides of
+// DenseThreshold, and the identity state of the 2,000 vertices (C = V,
+// every search's first merge phase) in sparse storage.
 func BenchmarkEvalMerge(b *testing.B) {
-	bm, r := benchModel(b, 2000, 64)
-	sc := NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := int32(r.Intn(64))
-		y := int32(r.Intn(64))
-		if x == y {
-			continue
+	planted, _ := benchModel(b, 2000, 64)
+	dense, _ := boundaryModel(b, sparse.DenseThreshold)
+	sparse1, _ := boundaryModel(b, sparse.DenseThreshold+1)
+	for _, bm := range []*Blockmodel{planted, dense, sparse1, Identity(planted.G)} {
+		const cases, targets = 1024, 10
+		r := rng.New(3)
+		blocks := make([]int32, cases)
+		ts := make([]int32, cases*targets)
+		for i := range blocks {
+			src := int32(r.Intn(bm.C))
+			for bm.Sizes[src] == 0 {
+				src = int32(r.Intn(bm.C))
+			}
+			blocks[i] = src
+			for j := range targets {
+				ts[i*targets+j] = bm.ProposeMerge(src, r)
+			}
 		}
-		_ = bm.EvalMerge(x, y, sc)
+		b.Run(storageName(bm), func(b *testing.B) {
+			sc := NewScratch()
+			deltas := make([]float64, targets)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % cases
+				bm.EvalMerges(blocks[k], ts[k*targets:(k+1)*targets], deltas, sc)
+			}
+		})
 	}
 }
 

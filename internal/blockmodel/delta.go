@@ -11,10 +11,11 @@ import "math"
 // because row r of M sums to d_out,r and column s to d_in,s. Moving
 // vertex v from block r to block s changes four block degrees and the
 // cells joining r and s to v's neighbour blocks; merging block r into s
-// changes four block degrees and the cells of its edit list. ΔS is a
-// sum over the changed cells: O(distinct neighbour blocks of v) for a
-// move, in the same walk that computes its Hastings correction, and
-// O(nnz(row, col r)) for a merge, with no work per untouched entry.
+// changes four block degrees, empties row and column r, and adds their
+// nonzeros to row and column s. ΔS is a sum over the changed cells:
+// O(distinct neighbour blocks of v) for a move, in the same walk that
+// computes its Hastings correction, and O(nnz(row, col r)) for a merge,
+// whose walk of row and column r serves all of r's merge candidates.
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
 // of the whole system, so all intermediates live in a reusable Scratch
@@ -25,16 +26,17 @@ import "math"
 // evaluation. Each worker goroutine owns one Scratch; a Scratch must
 // not be shared concurrently. The MoveDelta returned by EvalMove
 // aliases its vertex tallies, which ApplyMove reads, and is invalidated
-// by the next EvalMove/EvalMerge call on the same Scratch.
+// by the next evaluation on the same Scratch.
 type Scratch struct {
-	out, in                blockVec // vertex→block edge tallies
-	rowR, rowS, colR, colS blockVec // sparse-mode lookup tables of rows/cols r, s
-	dense                  []int64  // M's backing array in dense mode, else nil
-	c                      int      // block count of the loaded cells
-	r, s                   int32    // the blocks whose cells are loaded
-	edits                  []edit   // a merge's block-matrix adjustments
-	at                     []int    // a recount's column offsets
-	tails                  []int32  // a recount's columns of M, one tail block per edge
+	out, in                blockVec  // vertex→block edge tallies
+	rowR, rowS, colR, colS blockVec  // sparse-mode lookup tables of rows/cols r, s
+	dense                  []int64   // M's backing array in dense mode, else nil
+	c                      int       // block count of the loaded cells
+	r, s                   int32     // the blocks whose cells are loaded
+	nz                     []mergeNZ // a merge source's row nonzeros, then its column's
+	nRow                   int       // how many of nz come from the row
+	at                     []int     // a recount's column offsets
+	tails                  []int32   // a recount's columns of M, one tail block per edge
 }
 
 // NewScratch returns an empty Scratch ready for use.
@@ -92,37 +94,12 @@ func (bm *Blockmodel) CountVertex(v int, b []int32, sc *Scratch) VertexCounts {
 	return vc
 }
 
-// edit is a single (row, col, delta) adjustment to the block matrix.
-type edit struct {
-	i, j  int32
-	delta int64
-}
-
-// mergeEdits fills sc.edits with the block-matrix adjustments for merging
-// block r into block s: every edge endpoint in r is relabelled s.
-func (bm *Blockmodel) mergeEdits(r, s int32, sc *Scratch) {
-	sc.edits = sc.edits[:0]
-	bm.M.RowNZ(int(r), func(t int32, c int64) {
-		nt := t
-		if t == r {
-			nt = s
-		}
-		sc.edits = append(sc.edits, edit{r, t, -c}, edit{s, nt, c})
-	})
-	bm.M.ColNZ(int(r), func(t int32, c int64) {
-		if t == r {
-			return // the diagonal was handled from the row side
-		}
-		sc.edits = append(sc.edits, edit{t, r, -c}, edit{t, s, c})
-	})
-}
-
-// loadCells prepares sc to read the cells of M that a move or merge
-// between blocks r and s touches, each of which has its row or its
-// column in {r, s}. Dense mode reads the backing array in place; sparse
-// mode bulk-loads rows r, s and columns r, s into O(1) lookup tables.
-// The tables are reset in dense mode too, so a Scratch that served an
-// early iteration at C ≈ N does not keep its O(N) arrays.
+// loadCells prepares sc to read the cells of M that a move between
+// blocks r and s touches, each of which has its row or its column in
+// {r, s}. Dense mode reads the backing array in place; sparse mode
+// bulk-loads rows r, s and columns r, s into O(1) lookup tables. The
+// tables are reset in dense mode too, so a Scratch that served an early
+// iteration at C ≈ N does not keep its O(N) arrays.
 func (bm *Blockmodel) loadCells(r, s int32, sc *Scratch) {
 	sc.r, sc.s, sc.c = r, s, bm.C
 	sc.resetViews(bm.C)
@@ -165,46 +142,6 @@ func (sc *Scratch) cross(t int32) (rt, st, tr, ts int64) {
 		return d[r*c+t], d[s*c+t], d[t*c+r], d[t*c+s]
 	}
 	return sc.rowR.get(t), sc.rowS.get(t), sc.colR.get(t), sc.colS.get(t)
-}
-
-// corner returns the slot of cell (i, j) in a corner-edit array — 0 for
-// (r, r), 1 for (r, s), 2 for (s, r), 3 for (s, s) — or -1 when i or j
-// lies outside {r, s}.
-func (sc *Scratch) corner(i, j int32) int {
-	if (i != sc.r && i != sc.s) || (j != sc.r && j != sc.s) {
-		return -1
-	}
-	k := 0
-	if i == sc.s {
-		k = 2
-	}
-	if j == sc.s {
-		k++
-	}
-	return k
-}
-
-// deltaS returns ΔS for applying sc.edits to the loaded cells while
-// blocks r and s trade kOut out-degree and kIn in-degree (what leaves r
-// arrives at s). With f(x) = x·ln x it is
-//
-//	Σ_{4 changed degrees} [f(d′) − f(d)] − Σ_{changed cells} [f(m′) − f(m)].
-//
-// A cell outside the 2×2 corner of {r, s} occurs at most once in the
-// edit list. A corner cell can be hit by several edits, so its deltas
-// are summed before f is taken.
-func (bm *Blockmodel) deltaS(kOut, kIn int64, sc *Scratch) float64 {
-	var cornerD [4]int64
-	var cells float64
-	for _, e := range sc.edits {
-		if k := sc.corner(e.i, e.j); k >= 0 {
-			cornerD[k] += e.delta
-			continue
-		}
-		m := sc.cell(e.i, e.j)
-		cells += xlogx(m+e.delta) - xlogx(m)
-	}
-	return bm.closeDelta(cells, &cornerD, kOut, kIn, sc)
 }
 
 // closeDelta finishes ΔS from the summed terms of the cells outside the
@@ -413,7 +350,126 @@ func (bm *Blockmodel) EvalMerge(r, s int32, sc *Scratch) float64 {
 	if r == s {
 		return 0
 	}
-	bm.mergeEdits(r, s, sc)
-	bm.loadCells(r, s, sc)
-	return bm.deltaS(bm.DOut[r], bm.DIn[r], sc)
+	bm.loadMerge(r, sc)
+	return bm.mergeDelta(s, sc)
+}
+
+// EvalMerges sets deltas[i] to EvalMerge(r, targets[i], sc) for every
+// target, with the same bits, from one walk of row and column r: only
+// the cells of s differ between a block's merge candidates.
+func (bm *Blockmodel) EvalMerges(r int32, targets []int32, deltas []float64, sc *Scratch) {
+	bm.loadMerge(r, sc)
+	for i, s := range targets {
+		deltas[i] = 0
+		if s != r {
+			deltas[i] = bm.mergeDelta(s, sc)
+		}
+	}
+}
+
+// mergeNZ is one nonzero M[r][t] = c of a merge source r's row, or
+// M[t][r] = c of its column, with the term xlogx(0) − xlogx(c) of the
+// cell the merge empties.
+type mergeNZ struct {
+	t     int32
+	c     int64
+	empty float64
+}
+
+// loadMerge prepares sc to score merges of block r: it keeps the
+// nonzeros of row r, then those of column r off the diagonal, in
+// ascending t, and in sparse storage loads row r for the corner cells.
+func (bm *Blockmodel) loadMerge(r int32, sc *Scratch) {
+	sc.r, sc.c = r, bm.C
+	sc.resetViews(bm.C)
+	sc.nz = sc.nz[:0]
+	add := func(t int32, c int64) {
+		sc.nz = append(sc.nz, mergeNZ{t, c, xlogx(0) - xlogx(c)})
+	}
+	var dense bool
+	if sc.dense, dense = bm.M.DenseData(); dense {
+		n := bm.C
+		for t, c := range sc.dense[int(r)*n : (int(r)+1)*n] {
+			if c != 0 {
+				add(int32(t), c)
+			}
+		}
+		sc.nRow = len(sc.nz)
+		for t := 0; t < n; t++ {
+			if c := sc.dense[t*n+int(r)]; c != 0 && t != int(r) {
+				add(int32(t), c)
+			}
+		}
+		return
+	}
+	k, v, _ := bm.M.RowView(int(r))
+	sc.rowR.bulkLoad(k, v)
+	for i, t := range k {
+		add(t, v[i])
+	}
+	sc.nRow = len(sc.nz)
+	k, v, _ = bm.M.ColView(int(r))
+	for i, t := range k {
+		if t != r {
+			add(t, v[i])
+		}
+	}
+}
+
+// mergeDelta returns ΔS for merging the block loadMerge loaded into
+// s ≠ r: every nonzero M[r][t] moves to M[s][t], and every M[t][r] to
+// M[t][s]. A nonzero outside the 2×2 corner of {r, s} adds the term of
+// the cell it empties, then that of the cell of s it fills; the corner
+// cells' changes are O(1) in their counts, and closeDelta adds their
+// terms. The order of the sum is part of the chain's output:
+// TestEvalMergesMatchesEditListBits pins it bit for bit. Each storage
+// mode has its own loops: reading every cell through Scratch.cell was
+// 20–50% slower on BenchmarkEvalMerge.
+func (bm *Blockmodel) mergeDelta(s int32, sc *Scratch) float64 {
+	r, n := sc.r, sc.c
+	sc.s = s
+	rows, cols := sc.nz[:sc.nRow], sc.nz[sc.nRow:]
+	var cells float64
+	if d := sc.dense; d != nil {
+		rowS := d[int(s)*n : (int(s)+1)*n]
+		for _, e := range rows {
+			if e.t != r && e.t != s {
+				m := rowS[e.t]
+				cells += e.empty
+				cells += xlogx(m+e.c) - xlogx(m)
+			}
+		}
+		for _, e := range cols {
+			if e.t != s {
+				m := d[int(e.t)*n+int(s)]
+				cells += e.empty
+				cells += xlogx(m+e.c) - xlogx(m)
+			}
+		}
+	} else {
+		sc.rowS.reset(n)
+		sc.colS.reset(n)
+		k, v, _ := bm.M.RowView(int(s))
+		sc.rowS.bulkLoad(k, v)
+		k, v, _ = bm.M.ColView(int(s))
+		sc.colS.bulkLoad(k, v)
+		for _, e := range rows {
+			if e.t != r && e.t != s {
+				m := sc.rowS.get(e.t)
+				cells += e.empty
+				cells += xlogx(m+e.c) - xlogx(m)
+			}
+		}
+		for _, e := range cols {
+			if e.t != s {
+				m := sc.colS.get(e.t)
+				cells += e.empty
+				cells += xlogx(m+e.c) - xlogx(m)
+			}
+		}
+	}
+	// The changes of M[r][r], M[r][s], M[s][r] and M[s][s].
+	rr, rs, sr := sc.cell(r, r), sc.cell(r, s), sc.cell(s, r)
+	cornerD := [4]int64{-rr, -rs, -sr, rr + rs + sr}
+	return bm.closeDelta(cells, &cornerD, bm.DOut[r], bm.DIn[r], sc)
 }

@@ -31,7 +31,8 @@ func ringGraph(n int) *graph.Graph {
 // TestEvalMoveSteadyStateZeroAllocs is the acceptance gate for the
 // proposal kernel: once the Scratch arenas have reached steady-state
 // capacity, a full EvalMove + HastingsCorrection must not touch the
-// heap, in either block-matrix storage mode, and neither must EvalMerge.
+// heap, in either block-matrix storage mode, and neither must scoring a
+// block's 10 merge targets with EvalMerges, or one with EvalMerge.
 func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 	n := 600
 	g := ringGraph(n)
@@ -64,16 +65,26 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(50, eval); allocs != 0 {
 				t.Fatalf("steady-state EvalMove+Hastings allocates %.1f times per run, want 0", allocs)
 			}
+			targets, deltas := make([]int32, 10), make([]float64, 10)
 			merge := func() {
 				for i := 0; i < 32; i++ {
-					if d := bm.EvalMerge(int32(rn.Intn(bm.C)), int32(rn.Intn(bm.C)), sc); math.IsNaN(d) {
+					r := int32(rn.Intn(bm.C))
+					for j := range targets {
+						targets[j] = int32(rn.Intn(bm.C))
+					}
+					bm.EvalMerges(r, targets, deltas, sc)
+					sum := bm.EvalMerge(r, targets[0], sc)
+					for _, d := range deltas {
+						sum += d
+					}
+					if math.IsNaN(sum) {
 						t.Fatal("NaN merge delta")
 					}
 				}
 			}
 			merge()
 			if allocs := testing.AllocsPerRun(50, merge); allocs != 0 {
-				t.Fatalf("steady-state EvalMerge allocates %.1f times per run, want 0", allocs)
+				t.Fatalf("steady-state EvalMerges+EvalMerge allocates %.1f times per run, want 0", allocs)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package blockmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,34 +10,111 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file pins EvalMove's single walk to the bits of the two-pass
-// computation it replaced: ΔS from a move edit list summed by deltaS,
-// then the Hastings correction from neighbour weights rebuilt into two
-// containers. The chain's goldens and fingerprints would not notice a
-// reordered sum that happens to round the same on their inputs, so the
-// reference test compares math.Float64bits over many random moves.
+// This file pins EvalMove's and EvalMerges' single walks to the bits of
+// the edit-list computations they replaced. The move reference sums ΔS
+// over a move edit list and rebuilds the Hastings correction from
+// neighbour weights in two containers; the merge reference sums ΔS
+// over a merge edit list. The chain's goldens and fingerprints would
+// not notice a reordered sum that happens to round the same on their
+// inputs, so the reference tests compare math.Float64bits over many
+// random moves and merges.
 
-// twoPass holds the reference's own containers, so it shares no state
-// with the Scratch under test.
+// edit is a single (row, col, delta) adjustment to the block matrix.
+type edit struct {
+	i, j  int32
+	delta int64
+}
+
+// editList scores an edit list against the cells loadCells loads into
+// its own Scratch, which it shares with no Scratch under test.
+type editList struct {
+	sc    Scratch
+	edits []edit
+}
+
+// corner returns the slot of cell (i, j) in a corner-edit array — 0 for
+// (r, r), 1 for (r, s), 2 for (s, r), 3 for (s, s) — or -1 when i or j
+// lies outside {r, s}.
+func (el *editList) corner(i, j int32) int {
+	r, s := el.sc.r, el.sc.s
+	if (i != r && i != s) || (j != r && j != s) {
+		return -1
+	}
+	k := 0
+	if i == s {
+		k = 2
+	}
+	if j == s {
+		k++
+	}
+	return k
+}
+
+// deltaS returns ΔS for applying el.edits to the loaded cells while
+// blocks r and s trade kOut out-degree and kIn in-degree. A cell
+// outside the 2×2 corner of {r, s} occurs at most once in the edit
+// list and adds its term in list order. A corner cell can be hit by
+// several edits, so its deltas are summed before closeDelta takes f.
+func (el *editList) deltaS(bm *Blockmodel, kOut, kIn int64) float64 {
+	sc := &el.sc
+	var cornerD [4]int64
+	var cells float64
+	for _, e := range el.edits {
+		if k := el.corner(e.i, e.j); k >= 0 {
+			cornerD[k] += e.delta
+			continue
+		}
+		m := sc.cell(e.i, e.j)
+		cells += xlogx(m+e.delta) - xlogx(m)
+	}
+	return bm.closeDelta(cells, &cornerD, kOut, kIn, sc)
+}
+
+// evalMerge returns ΔS for merging block r into s from the merge edit
+// list: row r's nonzeros in ascending t, each emptying M[r][t] and
+// filling M[s][t] (M[s][s] for t = r), then column r's off the
+// diagonal, each emptying M[t][r] and filling M[t][s].
+func (el *editList) evalMerge(bm *Blockmodel, r, s int32) float64 {
+	if r == s {
+		return 0
+	}
+	el.edits = el.edits[:0]
+	bm.M.RowNZ(int(r), func(t int32, c int64) {
+		nt := t
+		if t == r {
+			nt = s
+		}
+		el.edits = append(el.edits, edit{r, t, -c}, edit{s, nt, c})
+	})
+	bm.M.ColNZ(int(r), func(t int32, c int64) {
+		if t != r {
+			el.edits = append(el.edits, edit{t, r, -c}, edit{t, s, c})
+		}
+	})
+	bm.loadCells(r, s, &el.sc)
+	return el.deltaS(bm, bm.DOut[r], bm.DIn[r])
+}
+
+// twoPass is the move reference: an edit list plus its own neighbour
+// weight containers.
 type twoPass struct {
-	sc         Scratch
+	editList
 	wFwd, wBwd blockVec
 }
 
-// moveEdits fills tp.sc.edits with the block-matrix adjustments for
+// moveEdits fills tp.edits with the block-matrix adjustments for
 // moving a vertex with counts vc from block r to block s: out-edges,
 // then in-edges, then the self-loops.
 func (tp *twoPass) moveEdits(vc VertexCounts, r, s int32) {
-	sc := &tp.sc
-	sc.edits = sc.edits[:0]
+	tp.edits = tp.edits[:0]
 	vc.out.iterate(func(t int32, c int64) {
-		sc.edits = append(sc.edits, edit{r, t, -c}, edit{s, t, c})
+		tp.edits = append(tp.edits, edit{r, t, -c}, edit{s, t, c})
 	})
 	vc.in.iterate(func(t int32, c int64) {
-		sc.edits = append(sc.edits, edit{t, r, -c}, edit{t, s, c})
+		tp.edits = append(tp.edits, edit{t, r, -c}, edit{t, s, c})
 	})
 	if vc.SelfLoops > 0 {
-		sc.edits = append(sc.edits, edit{r, r, -vc.SelfLoops}, edit{s, s, vc.SelfLoops})
+		tp.edits = append(tp.edits, edit{r, r, -vc.SelfLoops}, edit{s, s, vc.SelfLoops})
 	}
 }
 
@@ -46,7 +124,7 @@ func (tp *twoPass) movedCells(t int32) (mtr, mrt int64) {
 	sc := &tp.sc
 	r := sc.r
 	mtr, mrt = sc.cell(t, r), sc.cell(r, t)
-	for _, e := range sc.edits {
+	for _, e := range tp.edits {
 		if e.i == t && e.j == r {
 			mtr += e.delta
 		}
@@ -68,7 +146,7 @@ func (tp *twoPass) eval(bm *Blockmodel, v int, s int32) (dS, h float64) {
 	vc := bm.CountVertex(v, bm.Assignment, sc)
 	tp.moveEdits(vc, r, s)
 	bm.loadCells(r, s, sc)
-	dS = bm.deltaS(vc.KOut, vc.KIn, sc)
+	dS = tp.deltaS(bm, vc.KOut, vc.KIn)
 
 	kv := float64(vc.KOut + vc.KIn)
 	if kv == 0 {
@@ -249,3 +327,100 @@ func TestEvalMoveMatchesTwoPassBits(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalMergesMatchesEditListBits requires every EvalMerges delta to
+// equal the merge edit-list reference bit for bit: 100k deltas, from
+// 10k random blocks with 10 targets each, over dense storage (the
+// planted C = 64 partition and boundaryModel's state at DenseThreshold)
+// and sparse storage (boundaryModel's state at DenseThreshold+1, and
+// the identity state of referenceGraph, whose self-loops fill diagonal
+// cells). Most
+// targets come from ProposeMerge; the rest are uniform, r itself, or a
+// repeat of an earlier target. Between blocks one random vertex move is
+// applied, so the states keep changing and the identity state empties
+// blocks. EvalMerge must agree with its one-target case. The test counts
+// the cases the walk branches on and fails if one was reached fewer
+// than 100 times.
+func TestEvalMergesMatchesEditListBits(t *testing.T) {
+	const blocksPerState, targets = 2500, 10
+	var seen struct{ self, repeat, diag, rsAndSr, empty int }
+	rr := rng.New(2027)
+	for _, bm := range []*Blockmodel{
+		modelOf(benchModel(t, 2000, 64)),
+		modelOf(boundaryModel(t, sparse.DenseThreshold)),
+		modelOf(boundaryModel(t, sparse.DenseThreshold+1)),
+		Identity(referenceGraph(rr, 500, 2000, 60, 20)),
+	} {
+		name := storageName(bm)
+		if bm.M.IsDense() != (bm.C <= sparse.DenseThreshold) {
+			t.Fatalf("%s: unexpected storage mode", name)
+		}
+		sc := NewScratch()
+		var ref editList
+		ts := make([]int32, targets)
+		deltas := make([]float64, targets)
+		for i := 0; i < blocksPerState; i++ {
+			r := int32(rr.Intn(bm.C))
+			for j := range ts {
+				switch k := rr.Intn(10); {
+				case k == 0:
+					ts[j] = r
+				case k == 1 && j > 0:
+					ts[j] = ts[rr.Intn(j)]
+				case k == 2:
+					ts[j] = int32(rr.Intn(bm.C))
+				default:
+					ts[j] = bm.ProposeMerge(r, rr)
+				}
+			}
+			bm.EvalMerges(r, ts, deltas, sc)
+			for j, s := range ts {
+				want := ref.evalMerge(bm, r, s)
+				if math.Float64bits(deltas[j]) != math.Float64bits(want) {
+					t.Fatalf("%s block %d: merge %d→%d (target %d): ΔS=%v, edit list %v",
+						name, i, r, s, j, deltas[j], want)
+				}
+				if j == 0 {
+					if one := bm.EvalMerge(r, s, sc); math.Float64bits(one) != math.Float64bits(want) {
+						t.Fatalf("%s block %d: EvalMerge(%d, %d)=%v, edit list %v", name, i, r, s, one, want)
+					}
+				}
+				switch {
+				case s == r:
+					seen.self++
+					continue
+				case slices.Contains(ts[:j], s):
+					seen.repeat++
+				}
+				if bm.M.Get(int(r), int(r)) > 0 {
+					seen.diag++
+				}
+				if bm.M.Get(int(r), int(s)) > 0 && bm.M.Get(int(s), int(r)) > 0 {
+					seen.rsAndSr++
+				}
+				if bm.Sizes[r] == 0 || bm.Sizes[s] == 0 {
+					seen.empty++
+				}
+			}
+			v := rr.Intn(bm.G.NumVertices())
+			bm.ApplyMove(bm.EvalMove(v, int32(rr.Intn(bm.C)), bm.Assignment, sc))
+		}
+		if err := bm.Validate(); err != nil {
+			t.Fatalf("%s: model inconsistent after the applied moves: %v", name, err)
+		}
+	}
+	for name, k := range map[string]int{
+		"s == r":                   seen.self,
+		"repeated target":          seen.repeat,
+		"M[r][r] > 0":              seen.diag,
+		"M[r][s] > 0, M[s][r] > 0": seen.rsAndSr,
+		"empty r or s":             seen.empty,
+	} {
+		if k < 100 {
+			t.Errorf("case %q reached %d times, want at least 100", name, k)
+		}
+	}
+}
+
+// modelOf drops the generator a model builder returns beside its model.
+func modelOf(bm *Blockmodel, _ *rng.RNG) *Blockmodel { return bm }

@@ -106,17 +106,22 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	parallel.ForChunked(bm.C, workers, func(lo, hi, w int) {
 		start := time.Now()
 		sc := blockmodel.NewScratch()
+		targets := make([]int32, max(cfg.Candidates, 0))
+		deltas := make([]float64, len(targets))
 		var local int64
 		for r := lo; r < hi; r++ {
 			if bm.Sizes[r] == 0 {
 				continue
 			}
-			c := candidate{from: int32(r), delta: 0, valid: false}
 			rr := rng.At(key, 0, uint64(r))
-			for i := 0; i < cfg.Candidates; i++ {
-				s := bm.ProposeMerge(int32(r), &rr)
-				local++
-				d := bm.EvalMerge(int32(r), s, sc)
+			for i := range targets {
+				targets[i] = bm.ProposeMerge(int32(r), &rr)
+			}
+			local += int64(len(targets))
+			bm.EvalMerges(int32(r), targets, deltas, sc)
+			c := candidate{from: int32(r)}
+			for i, s := range targets {
+				d := deltas[i]
 				if cfg.Verify {
 					check.MustMergeDelta(bm, int32(r), s, d)
 				}

@@ -11,9 +11,9 @@
 // blocks, one dense row-major array at or below it. Sparse row and
 // column iteration is O(nonzeros); dense row iteration scans the row and
 // dense column iteration reads the column at stride C. The proposal
-// distribution samples from row t and column t, a merge's edit list
-// walks row r and column r, and move evaluation reads rows and columns
-// r, s.
+// distribution samples from row t and column t, merge evaluation walks
+// row r and column r once per block, and move evaluation reads rows and
+// columns r, s.
 //
 // Iteration order is ascending index in BOTH modes. This is a hard
 // guarantee, not an implementation detail: float accumulations over
