@@ -38,7 +38,7 @@ func main() {
 
 	cfg := harness.Default()
 	var (
-		exps    = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig2,fig3,fig4a,fig4b,fig5,fig6,fig7,fig8,alpha,baselines,dist,all")
+		exps    = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig2,fig3,fig4a,fig4b,fig5,fig6,fig7,fig8,alpha,baselines,dist,all; costfit (re-fits the cost model's weights at one worker) runs only when named")
 		csvdir  = flag.String("csvdir", "", "also write each table as CSV into this directory")
 		sweeps  = flag.String("sweeps", "", "write per-sweep observability records for every engine as JSON to this file")
 		scale   = flag.Float64("scale", cfg.Scale, "synthetic graph scale (1 = published sizes)")
@@ -172,6 +172,9 @@ func main() {
 	}
 	if need("dist", "distributed") {
 		emit(cfg.FigDistributed())
+	}
+	if want["costfit"] && ctx.Err() == nil {
+		emit(cfg.CostFit())
 	}
 	if *sweeps != "" && ctx.Err() == nil {
 		traces, err := cfg.SweepTraces()

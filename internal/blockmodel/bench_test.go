@@ -71,6 +71,9 @@ func storageName(bm *Blockmodel) string {
 	return fmt.Sprintf("sparse/C=%d", bm.C)
 }
 
+// BenchmarkEvalMove times a move's ΔS alone, what every proposal that
+// reaches the acceptance rule pays, on random vertices and targets of a
+// planted graph in dense storage.
 func BenchmarkEvalMove(b *testing.B) {
 	for _, c := range []int{8, 64, 512} {
 		b.Run("C="+strconv.Itoa(c), func(b *testing.B) {

@@ -204,6 +204,7 @@ func (bm *Blockmodel) ApplyMoves(lists [][]int32, sc *Scratch) (recounted bool) 
 	}
 	if float64(moved) <= recountShare*float64(2*bm.G.NumEdges()) {
 		bm.applyEach(lists, sc)
+		sc.work += moved
 		return false
 	}
 	for _, l := range lists {
@@ -212,7 +213,15 @@ func (bm *Blockmodel) ApplyMoves(lists [][]int32, sc *Scratch) (recounted bool) 
 		}
 	}
 	bm.rebuildCounts(sc)
+	sc.work += bm.RecountWork()
 	return true
+}
+
+// RecountWork returns the units of work (see Scratch.Work) of
+// recounting M, the block degrees and the sizes from the assignment at
+// the current block count: V + E + C.
+func (bm *Blockmodel) RecountWork() int64 {
+	return int64(bm.G.NumVertices() + bm.G.NumEdges() + bm.C)
 }
 
 // applyEach is ApplyMoves' incremental path: every move that changes a

@@ -13,9 +13,11 @@ import "math"
 // cells joining r and s to v's neighbour blocks; merging block r into s
 // changes four block degrees, empties row and column r, and adds their
 // nonzeros to row and column s. ΔS is a sum over the changed cells:
-// O(distinct neighbour blocks of v) for a move, in the same walk that
-// computes its Hastings correction, and O(nnz(row, col r)) for a merge,
-// whose walk of row and column r serves all of r's merge candidates.
+// O(distinct neighbour blocks of v) for a move, and O(nnz(row, col r))
+// for a merge, whose walk of row and column r serves all of r's merge
+// candidates. A move's Hastings correction takes a second walk over the
+// same neighbour blocks, which the acceptance rule asks for only when
+// the correction could still change its decision (HastingsBound).
 //
 // Proposal evaluation runs once per vertex per sweep and is the hot path
 // of the whole system, so all intermediates live in a reusable Scratch
@@ -25,8 +27,9 @@ import "math"
 // Scratch holds the reusable intermediates of move and merge
 // evaluation. Each worker goroutine owns one Scratch; a Scratch must
 // not be shared concurrently. The MoveDelta returned by EvalMove
-// aliases its vertex tallies, which ApplyMove reads, and is invalidated
-// by the next evaluation on the same Scratch.
+// aliases its vertex tallies and loaded cells, which ApplyMove and
+// HastingsCorrection read, and is invalidated by the next evaluation on
+// the same Scratch.
 type Scratch struct {
 	out, in                blockVec  // vertex→block edge tallies
 	rowR, rowS, colR, colS blockVec  // sparse-mode lookup tables of rows/cols r, s
@@ -37,10 +40,48 @@ type Scratch struct {
 	nRow                   int       // how many of nz come from the row
 	at                     []int     // a recount's column offsets
 	tails                  []int32   // a recount's columns of M, one tail block per edge
+	work                   int64     // units of counted work since the last Work call
 }
 
 // NewScratch returns an empty Scratch ready for use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// The fixed work of a visit (seeding and drawing from v's stream) and of
+// a move evaluation (the corner cells, the four block degrees and the
+// acceptance's exp), in units of the per-entry work the rest of
+// Scratch.Work counts. A fit of one-worker pass times to visits,
+// evaluations and entries put them at about 8 and 40 entries; counting
+// them cut the pass layers' fit error (harness.Config.CostFit) by half.
+const (
+	visitUnits = 8
+	evalUnits  = 40
+)
+
+// Work returns the units of work done on sc since the last call and
+// restarts the count. The units depend only on the chain, never on
+// timing, so the cost model (parallel.CostModel) charges them:
+//
+//   - ProposeVisit: visitUnits, plus the entries of row or column t the
+//     block-edge draw scans;
+//   - EvalMove: evalUnits, v's degree, the neighbour blocks its ΔS walk
+//     visits, and in sparse storage the entries of rows and columns r
+//     and s it loads;
+//   - HastingsCorrection: the neighbour blocks its walk visits;
+//   - ApplyMove: the neighbour blocks it updates;
+//   - ApplyMoves: the moved vertices' edge endpoints, or RecountWork
+//     when it recounts;
+//   - EvalMerges: one per target, the entries of row and column r it
+//     walks (2C in dense storage, their nonzeros in sparse), then per
+//     target the nonzeros it walks and, in sparse storage, those of row
+//     and column s it loads.
+//
+// MDLWork and RecountWork give the units of the passes that run
+// without a Scratch.
+func (sc *Scratch) Work() int64 {
+	w := sc.work
+	sc.work = 0
+	return w
+}
 
 // resetViews prepares the lookup tables for block count c.
 func (sc *Scratch) resetViews(c int) {
@@ -109,12 +150,16 @@ func (bm *Blockmodel) loadCells(r, s int32, sc *Scratch) {
 	}
 	k, v, _ := bm.M.RowView(int(r))
 	sc.rowR.bulkLoad(k, v)
+	n := len(k)
 	k, v, _ = bm.M.RowView(int(s))
 	sc.rowS.bulkLoad(k, v)
+	n += len(k)
 	k, v, _ = bm.M.ColView(int(r))
 	sc.colR.bulkLoad(k, v)
+	n += len(k)
 	k, v, _ = bm.M.ColView(int(s))
 	sc.colS.bulkLoad(k, v)
+	sc.work += int64(n + len(k))
 }
 
 // cell returns M[i][j] for a loaded cell: i or j must be r or s.
@@ -131,6 +176,24 @@ func (sc *Scratch) cell(i, j int32) int64 {
 		return sc.colR.get(i)
 	}
 	return sc.colS.get(i)
+}
+
+// rowPair returns the loaded cells M[r][t] and M[s][t].
+func (sc *Scratch) rowPair(t int32) (rt, st int64) {
+	if d := sc.dense; d != nil {
+		c, t := sc.c, int(t)
+		return d[int(sc.r)*c+t], d[int(sc.s)*c+t]
+	}
+	return sc.rowR.get(t), sc.rowS.get(t)
+}
+
+// colPair returns the loaded cells M[t][r] and M[t][s].
+func (sc *Scratch) colPair(t int32) (tr, ts int64) {
+	if d := sc.dense; d != nil {
+		row := int(t) * sc.c
+		return d[row+int(sc.r)], d[row+int(sc.s)]
+	}
+	return sc.colR.get(t), sc.colS.get(t)
 }
 
 // cross returns the four loaded cells M[r][t], M[s][t], M[t][r] and
@@ -182,69 +245,107 @@ func xlogx(x int64) float64 {
 }
 
 // MoveDelta holds the result of evaluating a proposed vertex move: ΔS
-// and the Hastings correction, both from one walk over v's neighbour
-// blocks. It aliases the vertex tallies of the Scratch it was evaluated
-// with; commit it (ApplyMove) or discard it before the next evaluation
-// on the same Scratch.
+// from one walk over v's neighbour blocks, and the Hastings correction
+// once HastingsCorrection has walked for it. It aliases the vertex
+// tallies and loaded cells of the Scratch it was evaluated with; commit
+// it (ApplyMove) or discard it before the next evaluation on the same
+// Scratch.
 type MoveDelta struct {
 	V          int     // the vertex
 	From, To   int32   // blocks r → s
 	DeltaS     float64 // change in description length (likelihood part); negative is better
 	EmptiesSrc bool    // the move would leave block r empty
-	hastings   float64 // p(s→r | b′) / p(r→s | b); 1 when r == s
+	hastings   float64 // p(s→r | b′) / p(r→s | b) once computed, 0 before; 1 when r == s
 	counts     VertexCounts
+	sc         *Scratch // holds counts' tallies and the cells of r and s
 }
 
-// EvalMove computes the likelihood ΔS and the Hastings correction for
-// moving v from its current block (under membership b) to block s,
-// without mutating the model. b must be the membership M was counted
-// from: every engine passes bm.Assignment, and the asynchronous engines
-// record accepted moves in a private copy until the next rebuild.
+// EvalMove computes the likelihood ΔS for moving v from its current
+// block (under membership b) to block s, without mutating the model.
+// b must be the membership M was counted from: every engine passes
+// bm.Assignment. The Hastings correction is left to HastingsCorrection,
+// which most proposals never need (see HastingsBound).
 func (bm *Blockmodel) EvalMove(v int, s int32, b []int32, sc *Scratch) MoveDelta {
 	r := b[v]
-	md := MoveDelta{V: v, From: r, To: s, hastings: 1}
+	md := MoveDelta{V: v, From: r, To: s}
 	if r == s {
+		md.hastings = 1
 		return md
 	}
 	md.counts = bm.CountVertex(v, b, sc)
 	bm.loadCells(r, s, sc)
-	md.DeltaS, md.hastings = bm.moveTerms(md.counts, sc)
+	md.DeltaS = bm.moveDelta(md.counts, sc)
 	md.EmptiesSrc = bm.Sizes[r] == 1
+	md.sc = sc
+	sc.work += evalUnits + md.counts.KOut + md.counts.KIn + int64(len(sc.out.keys)+len(sc.in.keys))
 	return md
 }
 
-// moveTerms returns ΔS and the Hastings correction for moving a vertex
-// with tallies vc from block sc.r to sc.s, in one walk over its
-// neighbour blocks: the keys of vc.out, then those of vc.in. A block t
-// costs the four cells of cross(t), which feed three running sums:
-//
-//   - ΔS's terms for the cells the move changes outside the 2×2 corner
-//     of {r, s}, each once: M[r][t] and M[s][t] for an out-edge block,
-//     M[t][r] and M[t][s] for an in-edge block.
-//   - pFwd and pBwd (see HastingsCorrection), one term per block, taken
-//     the first time t appears, with weight w_t = out[t] + in[t].
-//
-// The corner cells' summed changes (cornerD) are O(1) in the tallies,
-// so the post-move cells of t ∈ {r, s} are read in place, and ΔS adds
-// the corner's terms after the walk. A self-loop attaches v to its own
-// block: 2·SelfLoops joins r's weight in pFwd and s's in pBwd, as a
-// last term when that block is not a neighbour block. The order of
-// every sum is part of the chain's output: TestEvalMoveMatchesTwoPassBits
+// cornerDeltas returns the changes of M[r][r], M[r][s], M[s][r] and
+// M[s][s] when the vertex with tallies vc moves from r to s.
+func (vc VertexCounts) cornerDeltas(r, s int32) [4]int64 {
+	outR, outS, inR, inS, sl := vc.out.get(r), vc.out.get(s), vc.in.get(r), vc.in.get(s), vc.SelfLoops
+	return [4]int64{-outR - inR - sl, -outS + inR, outR - inS, outS + inS + sl}
+}
+
+// moveDelta returns ΔS for moving a vertex with tallies vc from block
+// sc.r to sc.s, in one walk over its neighbour blocks: the keys of
+// vc.out, then those of vc.in. A block t outside the 2×2 corner of
+// {r, s} adds the terms of the two cells the move changes: M[r][t] and
+// M[s][t] for an out-edge block, M[t][r] and M[t][s] for an in-edge
+// block. The corner cells' summed changes are O(1) in the tallies, and
+// closeDelta adds their terms after the walk. The order of the sum is
+// part of the chain's output: TestEvalMoveMatchesTwoPassBits pins it
+// bit for bit.
+func (bm *Blockmodel) moveDelta(vc VertexCounts, sc *Scratch) float64 {
+	r, s := sc.r, sc.s
+	out, in := vc.out, vc.in
+	var cells float64
+	for _, t := range out.keys {
+		if t != r && t != s {
+			n := out.val[t]
+			rt, st := sc.rowPair(t)
+			cells += xlogx(rt-n) - xlogx(rt)
+			cells += xlogx(st+n) - xlogx(st)
+		}
+	}
+	for _, t := range in.keys {
+		if t != r && t != s {
+			n := in.val[t]
+			tr, ts := sc.colPair(t)
+			cells += xlogx(tr-n) - xlogx(tr)
+			cells += xlogx(ts+n) - xlogx(ts)
+		}
+	}
+	cornerD := vc.cornerDeltas(r, s)
+	return bm.closeDelta(cells, &cornerD, vc.KOut, vc.KIn, sc)
+}
+
+// hastings returns the Hastings correction of the move EvalMove last
+// evaluated on sc, whose tallies are vc, in one walk over its neighbour
+// blocks: the keys of vc.out, then those of vc.in. A block t reads the
+// four cells of cross(t) and adds one term to pFwd and one to pBwd (see
+// HastingsCorrection), the first time t appears, with weight
+// w_t = out[t] + in[t]. The post-move cells of t ∈ {r, s} are the
+// loaded cells plus the corner's changes. A self-loop attaches v to its
+// own block: 2·SelfLoops joins r's weight in pFwd and s's in pBwd, as a
+// last term when that block is not a neighbour block. The order of both
+// sums is part of the chain's output: TestEvalMoveMatchesTwoPassBits
 // pins it bit for bit.
-func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
+func (bm *Blockmodel) hastings(vc VertexCounts, sc *Scratch) float64 {
 	r, s := sc.r, sc.s
 	out, in, sl := vc.out, vc.in, vc.SelfLoops
 	outR, outS, inR, inS := out.get(r), out.get(s), in.get(r), in.get(s)
-	// The changes of M[r][r], M[r][s], M[s][r] and M[s][s].
-	cornerD := [4]int64{-outR - inR - sl, -outS + inR, outR - inS, outS + inS + sl}
+	cornerD := vc.cornerDeltas(r, s)
 	k := vc.KOut + vc.KIn
+	sc.work += int64(len(out.keys) + len(in.keys))
 	kv, cf := float64(k), float64(bm.C)
 	// prob is one term of a proposal probability: weight w, the two
 	// cells m joining t to the proposed block, and t's degree d.
 	prob := func(w, m, d int64) float64 {
 		return (float64(w) / kv) * (float64(m) + 1) / (float64(d) + cf)
 	}
-	var cells, pFwd, pBwd float64
+	var pFwd, pBwd float64
 	// cornerProbs adds the terms of neighbour block t ∈ {r, s} at weight
 	// w to pFwd and pBwd; pBwd's cells are the post-move M′[t][r] and
 	// M′[r][t].
@@ -265,27 +366,21 @@ func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
 			cornerProbs(t, c+inT, rt, st, tr, ts)
 			continue
 		}
-		cells += xlogx(rt-c) - xlogx(rt)
-		cells += xlogx(st+c) - xlogx(st)
 		pFwd += prob(c+inT, ts+st, bm.DTot[t])
 		pBwd += prob(c+inT, tr-inT+rt-c, bm.DTot[t])
 	}
 	for _, t := range in.keys {
 		c := in.val[t]
-		rt, st, tr, ts := sc.cross(t)
-		first := out.get(t) == 0
-		if t == r || t == s {
-			if first {
-				cornerProbs(t, c, rt, st, tr, ts)
-			}
+		if out.get(t) != 0 {
 			continue
 		}
-		cells += xlogx(tr-c) - xlogx(tr)
-		cells += xlogx(ts+c) - xlogx(ts)
-		if first {
-			pFwd += prob(c, ts+st, bm.DTot[t])
-			pBwd += prob(c, tr-c+rt, bm.DTot[t])
+		rt, st, tr, ts := sc.cross(t)
+		if t == r || t == s {
+			cornerProbs(t, c, rt, st, tr, ts)
+			continue
 		}
+		pFwd += prob(c, ts+st, bm.DTot[t])
+		pBwd += prob(c, tr-c+rt, bm.DTot[t])
 	}
 	if sl > 0 && outR+inR == 0 {
 		_, sr, _, rs := sc.cross(r)
@@ -295,12 +390,10 @@ func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
 		rs, _, sr, _ := sc.cross(s)
 		pBwd += prob(2*sl, sr+cornerD[2]+rs+cornerD[1], bm.DTot[s]+k)
 	}
-
-	dS = bm.closeDelta(cells, &cornerD, vc.KOut, vc.KIn, sc)
 	if pFwd <= 0 {
-		return dS, 1
+		return 1
 	}
-	return dS, pBwd / pFwd
+	return pBwd / pFwd
 }
 
 // ApplyMove commits a previously evaluated move to the model, updating
@@ -310,6 +403,7 @@ func (bm *Blockmodel) moveTerms(vc VertexCounts, sc *Scratch) (dS, h float64) {
 func (bm *Blockmodel) ApplyMove(md MoveDelta) {
 	if md.From != md.To {
 		bm.apply(md.V, md.From, md.To, md.counts)
+		md.sc.work += int64(len(md.counts.out.keys) + len(md.counts.in.keys))
 	}
 }
 
@@ -359,6 +453,7 @@ func (bm *Blockmodel) EvalMerge(r, s int32, sc *Scratch) float64 {
 // the cells of s differ between a block's merge candidates.
 func (bm *Blockmodel) EvalMerges(r int32, targets []int32, deltas []float64, sc *Scratch) {
 	bm.loadMerge(r, sc)
+	sc.work += int64(len(targets))
 	for i, s := range targets {
 		deltas[i] = 0
 		if s != r {
@@ -400,6 +495,7 @@ func (bm *Blockmodel) loadMerge(r int32, sc *Scratch) {
 				add(int32(t), c)
 			}
 		}
+		sc.work += int64(2 * n)
 		return
 	}
 	k, v, _ := bm.M.RowView(int(r))
@@ -414,6 +510,7 @@ func (bm *Blockmodel) loadMerge(r int32, sc *Scratch) {
 			add(t, v[i])
 		}
 	}
+	sc.work += int64(sc.nRow + len(k))
 }
 
 // mergeDelta returns ΔS for merging the block loadMerge loaded into
@@ -451,8 +548,10 @@ func (bm *Blockmodel) mergeDelta(s int32, sc *Scratch) float64 {
 		sc.colS.reset(n)
 		k, v, _ := bm.M.RowView(int(s))
 		sc.rowS.bulkLoad(k, v)
+		loaded := len(k)
 		k, v, _ = bm.M.ColView(int(s))
 		sc.colS.bulkLoad(k, v)
+		sc.work += int64(loaded + len(k))
 		for _, e := range rows {
 			if e.t != r && e.t != s {
 				m := sc.rowS.get(e.t)
@@ -468,6 +567,7 @@ func (bm *Blockmodel) mergeDelta(s int32, sc *Scratch) float64 {
 			}
 		}
 	}
+	sc.work += int64(len(sc.nz))
 	// The changes of M[r][r], M[r][s], M[s][r] and M[s][s].
 	rr, rs, sr := sc.cell(r, r), sc.cell(r, s), sc.cell(s, r)
 	cornerD := [4]int64{-rr, -rs, -sr, rr + rs + sr}

@@ -59,6 +59,17 @@ func (bm *Blockmodel) LogLikelihood() float64 {
 	return cells - degrees
 }
 
+// MDLWork returns the units of work of one MDL pass, in Scratch.Work's
+// terms: the cells LogLikelihood sums (all C² in dense storage, the
+// nonzeros in sparse) and the 2C block degrees.
+func (bm *Blockmodel) MDLWork() int64 {
+	cells := bm.C * bm.C
+	if !bm.M.IsDense() {
+		cells = bm.M.NonZeros()
+	}
+	return int64(cells + 2*bm.C)
+}
+
 // ModelTerm returns E·h(C²/E) + V·ln(C) for the given block count — the
 // part of the MDL that penalises model complexity. c counts non-empty
 // blocks.

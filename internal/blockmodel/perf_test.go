@@ -30,8 +30,9 @@ func ringGraph(n int) *graph.Graph {
 
 // TestEvalMoveSteadyStateZeroAllocs is the acceptance gate for the
 // proposal kernel: once the Scratch arenas have reached steady-state
-// capacity, a full EvalMove + HastingsCorrection must not touch the
-// heap, in either block-matrix storage mode, and neither must scoring a
+// capacity, neither EvalMove alone nor EvalMove followed by the lazy
+// HastingsCorrection (its walk, then the kept value) may touch the
+// heap, in either block-matrix storage mode, and neither may scoring a
 // block's 10 merge targets with EvalMerges, or one with EvalMerge.
 func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 	n := 600
@@ -48,6 +49,7 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 			bm := tc.bm
 			sc := NewScratch()
 			rn := rng.New(5)
+			withH := false
 			eval := func() {
 				for i := 0; i < 32; i++ {
 					v := rn.Intn(n)
@@ -56,12 +58,19 @@ func TestEvalMoveSteadyStateZeroAllocs(t *testing.T) {
 						continue
 					}
 					md := bm.EvalMove(v, s, bm.Assignment, sc)
-					if h := bm.HastingsCorrection(&md); math.IsNaN(h) {
-						t.Fatal("NaN Hastings correction")
+					if math.IsNaN(md.DeltaS) {
+						t.Fatal("NaN ΔS")
+					}
+					if withH && bm.HastingsCorrection(&md) != bm.HastingsCorrection(&md) {
+						t.Fatal("HastingsCorrection changed between calls")
 					}
 				}
 			}
 			eval() // warm the arenas to steady-state capacity
+			if allocs := testing.AllocsPerRun(50, eval); allocs != 0 {
+				t.Fatalf("steady-state EvalMove allocates %.1f times per run, want 0", allocs)
+			}
+			withH = true
 			if allocs := testing.AllocsPerRun(50, eval); allocs != 0 {
 				t.Fatalf("steady-state EvalMove+Hastings allocates %.1f times per run, want 0", allocs)
 			}

@@ -23,15 +23,31 @@ import "repro/internal/rng"
 // Isolated vertices and blocks with no mass in the (possibly stale)
 // matrix fall back to a uniform proposal.
 func (bm *Blockmodel) ProposeVertexMove(v int, b []int32, r *rng.RNG) int32 {
+	s, _ := bm.proposeVertexMove(v, b, r)
+	return s
+}
+
+// ProposeVisit draws v's candidate block exactly as
+// ProposeVertexMove(v, bm.Assignment, rn) does, and counts the visit's
+// work on sc (see Scratch.Work).
+func (bm *Blockmodel) ProposeVisit(v int, rn *rng.RNG, sc *Scratch) int32 {
+	s, scanned := bm.proposeVertexMove(v, bm.Assignment, rn)
+	sc.work += visitUnits + int64(scanned)
+	return s
+}
+
+// proposeVertexMove is ProposeVertexMove that also returns how many
+// entries of M the draw scanned.
+func (bm *Blockmodel) proposeVertexMove(v int, b []int32, r *rng.RNG) (int32, int) {
 	k := bm.G.Degree(v)
 	if k == 0 {
-		return int32(r.Intn(bm.C))
+		return int32(r.Intn(bm.C)), 0
 	}
 	u := bm.G.Neighbor(v, r.Intn(k))
 	t := b[u]
 	dt := bm.DTot[t]
 	if dt == 0 || r.Float64() < float64(bm.C)/(float64(dt)+float64(bm.C)) {
-		return int32(r.Intn(bm.C))
+		return int32(r.Intn(bm.C)), 0
 	}
 	return bm.sampleBlockEdgeEndpoint(int(t), r)
 }
@@ -61,7 +77,8 @@ func (bm *Blockmodel) proposeMergeOnce(rBlock int32, rn *rng.RNG) int32 {
 	if dt == 0 || rn.Float64() < float64(bm.C)/(float64(dt)+float64(bm.C)) {
 		return bm.uniformOther(rBlock, rn)
 	}
-	return bm.sampleBlockEdgeEndpoint(int(t), rn)
+	s, _ := bm.sampleBlockEdgeEndpoint(int(t), rn)
+	return s
 }
 
 // uniformOther returns a uniformly random block different from r.
@@ -77,14 +94,16 @@ func (bm *Blockmodel) uniformOther(r int32, rn *rng.RNG) int32 {
 // random edge incident on block t (an edge counted in row t or column t
 // of M). Requires DTot[t] > 0.
 func (bm *Blockmodel) sampleBlockNeighbor(t int, rn *rng.RNG) int32 {
-	return bm.sampleBlockEdgeEndpoint(t, rn)
+	s, _ := bm.sampleBlockEdgeEndpoint(t, rn)
+	return s
 }
 
 // sampleBlockEdgeEndpoint draws x uniform over the DTot[t] edge endpoints
 // incident on block t and walks row t then column t of M, in ascending
-// block order, to find the block owning the x-th endpoint. In dense
-// storage the walk reads row t in place and column t at stride C; a
-// zero cell never owns x, so neither skips it.
+// block order, to find the block owning the x-th endpoint, and returns
+// it with the number of entries the walk scanned. In dense storage the
+// walk reads row t in place and column t at stride C; a zero cell never
+// owns x, so neither skips it.
 //
 // The draw stays in int64 end to end: DTot is an int64 edge-endpoint
 // mass, and squeezing it through int for Intn would overflow on 32-bit
@@ -94,26 +113,29 @@ func (bm *Blockmodel) sampleBlockNeighbor(t int, rn *rng.RNG) int32 {
 // change. The remaining Intn draws on the proposal path (vertex degree,
 // block count C) are bounded by the vertex count and slice lengths,
 // which always fit in int.
-func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
+func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) (int32, int) {
 	x := rn.Int63n(bm.DTot[t])
 	c := bm.C
 	data, dense := bm.M.DenseData()
+	scanned := 0
 	if x < bm.DOut[t] {
 		if dense {
 			for s, m := range data[t*c : (t+1)*c] {
 				if x < m {
-					return int32(s)
+					return int32(s), s + 1
 				}
 				x -= m
 			}
+			scanned = c
 		} else {
 			keys, vals, _ := bm.M.RowView(t)
 			for i, m := range vals {
 				if x < m {
-					return keys[i]
+					return keys[i], i + 1
 				}
 				x -= m
 			}
+			scanned = len(vals)
 		}
 	} else {
 		x -= bm.DOut[t]
@@ -121,30 +143,34 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 			for r := 0; r < c; r++ {
 				m := data[r*c+t]
 				if x < m {
-					return int32(r)
+					return int32(r), r + 1
 				}
 				x -= m
 			}
+			scanned = c
 		} else {
 			keys, vals, _ := bm.M.ColView(t)
 			for i, m := range vals {
 				if x < m {
-					return keys[i]
+					return keys[i], i + 1
 				}
 				x -= m
 			}
+			scanned = len(vals)
 		}
 	}
 	// Degrees and matrix disagree — possible only with a stale matrix in
 	// the asynchronous engines. Fall back to uniform.
-	return int32(rn.Intn(c))
+	return int32(rn.Intn(c)), scanned
 }
 
 // HastingsCorrection returns p(s→r | b′) / p(r→s | b) for an evaluated
 // move, the factor that keeps the Metropolis-Hastings chain reversible
-// under the neighbour-guided proposal. EvalMove computes it in the same
-// walk over v's neighbour blocks as ΔS (see moveTerms), so this only
-// reads it; a move with r == s gives 1.
+// under the neighbour-guided proposal. The first call walks v's
+// neighbour blocks for it and keeps it in md; later calls read it. A
+// move with r == s gives 1. md must be the latest evaluation on its
+// Scratch, whose tallies and loaded cells the walk reads, and must not
+// have been applied yet.
 //
 // Following Peixoto (2014):
 //
@@ -156,5 +182,28 @@ func (bm *Blockmodel) sampleBlockEdgeEndpoint(t int, rn *rng.RNG) int32 {
 // degrees. Every entry read lies in row or column r or s, so it comes
 // from the cells EvalMove loaded.
 func (bm *Blockmodel) HastingsCorrection(md *MoveDelta) float64 {
+	if md.hastings == 0 {
+		md.hastings = bm.hastings(md.counts, md.sc)
+	}
 	return md.hastings
+}
+
+// HastingsBound returns 2·(2E + C), an upper bound on the Hastings
+// correction of every move, so an acceptance rule can reject most
+// proposals from ΔS alone. It holds whenever M, the block degrees and
+// the assignment agree, as they do for every evaluation:
+//
+//   - p(r→s) ≥ 1/(2E + C). The weights w_t/k_v sum to 1, and each
+//     factor (M[t][s] + M[s][t] + 1)/(d_t + C) is at least 1/(2E + C),
+//     because a block's degree d_t is at most the 2E edge endpoints.
+//   - p(s→r | b′) ≤ 1. Each factor (M′[t][r] + M′[r][t] + 1)/(d′_t + C)
+//     is at most 1, because both post-move cells are part of t's degree
+//     d′_t (M′[t][r] of its row, M′[r][t] of its column; for t = r both
+//     are M′[r][r], counted once in each) and 1 ≤ C.
+//
+// So the exact ratio is at most 2E + C. The factor 2 covers the
+// rounding of both sums, whose relative errors grow with v's degree but
+// stay far below 1/2; an isolated vertex's correction is 1.
+func (bm *Blockmodel) HastingsBound() float64 {
+	return 2 * float64(2*int64(bm.G.NumEdges())+int64(bm.C))
 }

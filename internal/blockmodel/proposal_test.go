@@ -166,6 +166,67 @@ func TestHastingsReversibility(t *testing.T) {
 	}
 }
 
+// TestHastingsBound requires every Hastings correction to stay within
+// HastingsBound over 100k random moves, in dense storage (C = 8 and 64)
+// and sparse storage (C = DenseThreshold+44 and 900), on multigraphs
+// with self-loops, repeated edges, leaves and isolated vertices, whose
+// vertices occupy 40 of the blocks at C ≥ 64 so that most blocks are
+// empty. A quarter of the moves are applied so the state keeps
+// changing. A built state where H exceeds an eighth of the bound shows
+// that the bound is not vacuous.
+func TestHastingsBound(t *testing.T) {
+	const n, leaves, isolated, movesPerC = 500, 60, 20, 25000
+	var worst float64
+	for _, c := range []int{8, 64, sparse.DenseThreshold + 44, 900} {
+		rr := rng.New(uint64(2000 + c))
+		g := referenceGraph(rr, n, 2000, leaves, isolated)
+		used := rr.Perm(c)[:min(c, 40)]
+		assign := make([]int32, g.NumVertices())
+		for v := range assign {
+			assign[v] = int32(used[rr.Intn(len(used))])
+		}
+		bm := mustFromAssignment(t, g, assign, c)
+		if bm.M.IsDense() != (c <= sparse.DenseThreshold) {
+			t.Fatalf("C=%d: unexpected storage mode", c)
+		}
+		bound := bm.HastingsBound()
+		sc := NewScratch()
+		for i := 0; i < movesPerC; i++ {
+			v := rr.Intn(g.NumVertices())
+			s := int32(rr.Intn(c))
+			if i%2 == 0 {
+				s = bm.ProposeVertexMove(v, bm.Assignment, rr)
+			}
+			md := bm.EvalMove(v, s, bm.Assignment, sc)
+			h := bm.HastingsCorrection(&md)
+			if !(h > 0 && h <= bound) {
+				t.Fatalf("C=%d move %d: v=%d %d→%d: H=%v outside (0, %v]", c, i, v, md.From, s, h, bound)
+			}
+			worst = max(worst, h/bound)
+			if i%4 == 0 && !md.EmptiesSrc {
+				bm.ApplyMove(md)
+			}
+		}
+	}
+	t.Logf("largest H/bound over the random moves: %.3g", worst)
+
+	// Vertex 0 (block 0) has one edge, to vertex 1 (block 1); vertex 2
+	// (block 0) has 100 repeated edges to vertex 1; vertex 3 sits alone
+	// in block 2. Moving 0 to block 2: p(0→2) = 1/(d_1+C) = 1/104, while
+	// the way back from block 1 to block 0 carries all of block 1's
+	// other edges: p(2→0 | b′) = 101/104. So H = 101, against a bound of
+	// 2·(2·101 + 3) = 410.
+	edges := []graph.Edge{{Src: 0, Dst: 1}}
+	for i := 0; i < 100; i++ {
+		edges = append(edges, graph.Edge{Src: 2, Dst: 1})
+	}
+	bm := mustFromAssignment(t, graph.MustNew(4, edges), []int32{0, 1, 0, 2}, 3)
+	md := bm.EvalMove(0, 2, bm.Assignment, NewScratch())
+	if h, bound := bm.HastingsCorrection(&md), bm.HastingsBound(); h != 101 || h <= bound/8 {
+		t.Fatalf("built state: H = %v against bound %v, want 101 > bound/8", h, bound)
+	}
+}
+
 func TestHastingsNoOpMoveIsOne(t *testing.T) {
 	g, assign := fixture(t)
 	bm, _ := FromAssignment(g, assign, 2, 1)
@@ -223,7 +284,8 @@ func TestSampleBlockEdgeEndpointDistribution(t *testing.T) {
 	counts := map[int32]int{}
 	const draws = 4000
 	for i := 0; i < draws; i++ {
-		counts[bm.sampleBlockEdgeEndpoint(0, r)]++
+		s, _ := bm.sampleBlockEdgeEndpoint(0, r)
+		counts[s]++
 	}
 	if counts[1] < 2*counts[2] {
 		t.Fatalf("endpoint sampling not proportional: %v", counts)
@@ -285,7 +347,8 @@ func TestSampleBlockEdgeEndpointMatchesReference(t *testing.T) {
 				if bm.DTot[b] == 0 {
 					continue
 				}
-				if s, ref := bm.sampleBlockEdgeEndpoint(b, got), referenceEndpoint(bm, b, want); s != ref {
+				s, _ := bm.sampleBlockEdgeEndpoint(b, got)
+				if ref := referenceEndpoint(bm, b, want); s != ref {
 					t.Fatalf("C=%d seed %d block %d: sampled %d, reference %d", c, seed, b, s, ref)
 				}
 			}
@@ -304,7 +367,8 @@ func TestSampleBlockEdgeEndpointMatchesReference(t *testing.T) {
 				replay.Int63n(5)
 				fallback := int32(replay.Intn(c))
 				got, want := rng.New(seed), rng.New(seed)
-				s, ref := stale.sampleBlockEdgeEndpoint(0, got), referenceEndpoint(stale, 0, want)
+				s, _ := stale.sampleBlockEdgeEndpoint(0, got)
+				ref := referenceEndpoint(stale, 0, want)
 				if s != fallback || ref != fallback || got.Uint64() != want.Uint64() {
 					t.Fatalf("C=%d out-degree %d seed %d: sampled %d, reference %d, uniform fallback %d",
 						c, out, seed, s, ref, fallback)

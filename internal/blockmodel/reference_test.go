@@ -10,8 +10,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file pins EvalMove's and EvalMerges' single walks to the bits of
-// the edit-list computations they replaced. The move reference sums ΔS
+// This file pins the walks of EvalMove, HastingsCorrection and
+// EvalMerges to the bits of the edit-list computations they replaced. The move reference sums ΔS
 // over a move edit list and rebuilds the Hastings correction from
 // neighbour weights in two containers; the merge reference sums ΔS
 // over a merge edit list. The chain's goldens and fingerprints would

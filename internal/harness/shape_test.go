@@ -56,8 +56,34 @@ func TestShapeSpeedupOrdering(t *testing.T) {
 	asy := c.BestOf("S5", g, truth, mcmc.AsyncGibbs)
 	sH := parallel.RelativeSpeedup(base.MCMCCost, hyb.MCMCCost, 128)
 	sA := parallel.RelativeSpeedup(base.MCMCCost, asy.MCMCCost, 128)
+	t.Logf("modelled speedups at 128 threads: A-SBP %v×, H-SBP %v×", sA, sH)
 	if !(sA > sH && sH > 1) {
 		t.Fatalf("speedup ordering violated: A-SBP %.2fx, H-SBP %.2fx", sA, sH)
+	}
+}
+
+// TestShapeModelIsCounted asserts that the modelled speedups the shape
+// tests read are counted work, not timing: every engine's cost account
+// on the shape graph has the same bits in two runs, one at one worker
+// and one at three.
+func TestShapeModelIsCounted(t *testing.T) {
+	c := shapeConfig()
+	g, truth, _, err := c.syntheticGraph(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []mcmc.Algorithm{mcmc.SerialMH, mcmc.Hybrid, mcmc.AsyncGibbs, mcmc.BatchedGibbs} {
+		c.Workers = 1
+		one := c.BestOf("S5", g, truth, alg).TotalCost
+		c.Workers = 3
+		three := c.BestOf("S5", g, truth, alg).TotalCost
+		if one.SerialWork != three.SerialWork || one.ParallelWork != three.ParallelWork ||
+			one.Regions != three.Regions || one.Units != three.Units {
+			t.Errorf("%v: cost account differs between runs:\n 1 worker  %+v\n 3 workers %+v", alg, one, three)
+		}
+		if s1, s3 := one.Speedup(128), three.Speedup(128); s1 != s3 {
+			t.Errorf("%v: modelled speedup %v× at 1 worker, %v× at 3", alg, s1, s3)
+		}
 	}
 }
 

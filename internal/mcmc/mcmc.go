@@ -17,10 +17,11 @@
 //     passes over contiguous vertex groups, so proposals are at most
 //     1/Batches of a sweep stale.
 //
-// All passes use the exact-asynchronous-Gibbs acceptance rule: the
-// Metropolis-Hastings ratio exp(−β·ΔS)·H is computed for every proposal
-// rather than accepting unconditionally. The passes are exported so the
-// distributed rank (internal/dist) runs the same code.
+// All passes use the exact-asynchronous-Gibbs acceptance rule: every
+// proposal is decided by the Metropolis-Hastings ratio exp(−β·ΔS)·H
+// rather than accepted unconditionally (H is walked for only when it
+// could change the decision; see accept). The passes are exported so
+// the distributed rank (internal/dist) runs the same code.
 package mcmc
 
 import (
@@ -186,10 +187,10 @@ type Stats struct {
 	// ratio is derived from.
 	PerSweep []SweepRecord
 
-	// Cost is the work/span account of the phase: proposal work in the
-	// serial passes is serial work, proposal work in the asynchronous
-	// passes is parallel work, and a blockmodel rebuild and the MDL pass
-	// that ends each sweep are serial work.
+	// Cost is the work/span account of the phase, in counted work: the
+	// serial passes are serial work, the asynchronous passes are
+	// parallel work, and a blockmodel rebuild and the MDL pass that ends
+	// each sweep are serial work. PerSweep keeps the measured times.
 	Cost parallel.CostModel
 }
 
@@ -282,9 +283,20 @@ func Run(bm *blockmodel.Blockmodel, alg Algorithm, cfg Config, rn *rng.RNG) Stat
 	return st
 }
 
-// accept decides a Metropolis-Hastings acceptance for an evaluated move.
-func accept(md *blockmodel.MoveDelta, hastings, beta float64, rn *rng.RNG) bool {
-	a := math.Exp(-beta*md.DeltaS) * hastings
+// accept decides a Metropolis-Hastings acceptance for an evaluated
+// move: with a = e·H, e = exp(−β·ΔS), it accepts when a ≥ 1 and
+// otherwise iff a draw u < a. The Hastings correction H never exceeds
+// bm.HastingsBound(), so when e·bound < 1, a < 1 too and the rule draws
+// u; every u ≥ e·bound then rejects without walking for H. Rounding is
+// monotone, so fl(e·H) ≤ fl(e·bound): every decision and every draw is
+// the full rule's (TestStepMatchesFullHastingsRule).
+func accept(bm *blockmodel.Blockmodel, md *blockmodel.MoveDelta, beta float64, rn *rng.RNG) bool {
+	e := math.Exp(-beta * md.DeltaS)
+	if eb := e * bm.HastingsBound(); eb < 1 {
+		u := rn.Float64()
+		return u < eb && u < e*bm.HastingsCorrection(md)
+	}
+	a := e * bm.HastingsCorrection(md)
 	return a >= 1 || rn.Float64() < a
 }
 

@@ -48,6 +48,10 @@ type PassResult struct {
 	Accepts   int64     // proposals accepted
 	BusyNS    []float64 // wall busy nanoseconds per range; one entry for a serial pass
 
+	// Work counts the pass's units of work: what its visits and
+	// applied moves counted on their Scratch (Scratch.Work).
+	Work int64
+
 	// Aborted reports that the pass saw cancellation and stopped early,
 	// leaving bm or the move lists mid-sweep: the caller must discard
 	// them and roll back to the sweep boundary.
@@ -68,12 +72,14 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, moves [][]int32, cf
 	var res PassResult
 	start := time.Now()
 	moves[0] = moves[0][:0]
+	sc.Work() // drop what earlier callers left uncounted
 	for i, v := range vertices {
 		if done != nil && i&255 == 0 && isClosed(done) {
 			res.Aborted = true
 			break
 		}
-		md, proposed, accepted := step(bm, int(v), &cfg, key, sweep, sc)
+		rn := rng.At(key, uint64(sweep), uint64(v))
+		md, proposed, accepted := step(bm, int(v), &cfg, &rn, sc)
 		if proposed {
 			res.Proposals++
 		}
@@ -83,6 +89,7 @@ func SerialPass(bm *blockmodel.Blockmodel, vertices []int32, moves [][]int32, cf
 			res.Accepts++
 		}
 	}
+	res.Work = sc.Work()
 	res.BusyNS = []float64{float64(time.Since(start).Nanoseconds())}
 	return res
 }
@@ -103,12 +110,13 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, moves [][]int32, cfg Co
 	for w := range moves {
 		moves[w] = moves[w][:0]
 	}
-	var proposals, accepts atomic.Int64
+	var proposals, accepts, work atomic.Int64
 	var aborted atomic.Bool
 	busy := make([]float64, len(plan.ranges))
 	parallel.ForRanges(plan.ranges, func(lo, hi, w int) {
 		start := time.Now()
 		sc := scratches[w]
+		sc.Work() // drop what earlier callers left uncounted
 		var localProp, localAcc int64
 		for i := lo; i < hi; i++ {
 			if done != nil && (i-lo)&255 == 0 && passCancelled(done, &aborted) {
@@ -118,7 +126,8 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, moves [][]int32, cfg Co
 			if plan.vertices != nil {
 				v = int(plan.vertices[i])
 			}
-			md, proposed, accepted := step(bm, v, &cfg, key, sweep, sc)
+			rn := rng.At(key, uint64(sweep), uint64(v))
+			md, proposed, accepted := step(bm, v, &cfg, &rn, sc)
 			if proposed {
 				localProp++
 			}
@@ -129,24 +138,30 @@ func AsyncPass(bm *blockmodel.Blockmodel, plan PassPlan, moves [][]int32, cfg Co
 		}
 		proposals.Add(localProp)
 		accepts.Add(localAcc)
+		work.Add(sc.Work())
 		busy[w] = float64(time.Since(start).Nanoseconds())
 	})
-	return PassResult{Proposals: proposals.Load(), Accepts: accepts.Load(), BusyNS: busy, Aborted: aborted.Load()}
+	return PassResult{Proposals: proposals.Load(), Accepts: accepts.Load(), BusyNS: busy, Work: work.Load(), Aborted: aborted.Load()}
 }
 
 // step is one Metropolis-Hastings step for v against bm: draw a target
 // block, evaluate the move and decide it with the exact-asynchronous-
-// Gibbs rule exp(−β·ΔS)·H. Every draw comes from v's own stream
+// Gibbs rule exp(−β·ΔS)·H. Every draw comes from rn, v's own stream
 // rng.At(key, sweep, v); each sweep visits v once, so no stream is
 // drawn from twice. proposed reports that the target differed from v's
-// block (the move was evaluated); accepted that the caller should apply
-// md. The serial pass applies it to bm, the async pass records it in
-// its move list.
-func step(bm *blockmodel.Blockmodel, v int, cfg *Config, key uint64, sweep int, sc *blockmodel.Scratch) (md blockmodel.MoveDelta, proposed, accepted bool) {
-	rn := rng.At(key, uint64(sweep), uint64(v))
-	s := bm.ProposeVertexMove(v, bm.Assignment, &rn)
-	if s == bm.Assignment[v] {
+// block; accepted that the caller should apply md. The serial pass
+// applies it to bm, the async pass records it in its move list.
+func step(bm *blockmodel.Blockmodel, v int, cfg *Config, rn *rng.RNG, sc *blockmodel.Scratch) (md blockmodel.MoveDelta, proposed, accepted bool) {
+	r := bm.Assignment[v]
+	s := bm.ProposeVisit(v, rn, sc)
+	if s == r {
 		return md, false, false
+	}
+	if bm.Sizes[r] == 1 && !cfg.Verify {
+		// SBP keeps the block count fixed during the MCMC phase, so a
+		// move that empties r is rejected, and nothing below would draw
+		// from rn: it needs no evaluation.
+		return md, true, false
 	}
 	md = bm.EvalMove(v, s, bm.Assignment, sc)
 	if cfg.Verify {
@@ -156,14 +171,12 @@ func step(bm *blockmodel.Blockmodel, v int, cfg *Config, key uint64, sweep int, 
 		check.MustMoveDelta(bm, bm.Assignment, v, s, md.DeltaS)
 	}
 	if md.EmptiesSrc {
-		// SBP keeps the block count fixed during the MCMC phase.
 		return md, true, false
 	}
-	h := bm.HastingsCorrection(&md)
 	if cfg.Verify {
-		check.MustHastings(bm, bm.Assignment, v, s, h)
+		check.MustHastings(bm, bm.Assignment, v, s, bm.HastingsCorrection(&md))
 	}
-	return md, true, accept(&md, h, cfg.Beta, &rn)
+	return md, true, accept(bm, &md, cfg.Beta, rn)
 }
 
 // isClosed polls a cancellation channel without blocking (false for a
@@ -190,24 +203,24 @@ func passCancelled(done <-chan struct{}, aborted *atomic.Bool) bool {
 	return false
 }
 
-// rebuild applies the pass's moves to bm and charges the time as
+// rebuild applies the pass's moves to bm and charges the work as
 // serial work: ApplyMoves runs on one goroutine on either of its paths.
 func rebuild(bm *blockmodel.Blockmodel, moves [][]int32, sc *blockmodel.Scratch, st *Stats, sp *sweepProbe) {
 	start := time.Now()
 	bm.ApplyMoves(moves, sc)
 	ns := float64(time.Since(start).Nanoseconds())
 	sp.rebuild(ns)
-	st.Cost.AddSerial(ns)
+	st.Cost.AddSerial(parallel.Rebuild, sc.Work(), ns)
 }
 
 // score returns bm's description length at the end of a sweep and
-// charges the time as serial work: the MDL pass runs on one goroutine.
+// charges the work as serial work: the MDL pass runs on one goroutine.
 func score(bm *blockmodel.Blockmodel, st *Stats, sp *sweepProbe) float64 {
 	start := time.Now()
 	s := bm.MDL()
 	ns := float64(time.Since(start).Nanoseconds())
 	sp.score(ns)
-	st.Cost.AddSerial(ns)
+	st.Cost.AddSerial(parallel.MDLPass, bm.MDLWork(), ns)
 	return s
 }
 

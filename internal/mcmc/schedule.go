@@ -102,7 +102,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 				return st
 			}
 			sp.serial(res.BusyNS[0])
-			st.Cost.AddSerial(res.BusyNS[0])
+			st.Cost.AddSerial(parallel.SerialPass, res.Work, res.BusyNS[0])
 			if cfg.Verify {
 				check.MustInvariants(bm, s.alg.String()+" post-serial-pass invariants")
 			}
@@ -115,7 +115,7 @@ func (s schedule) run(bm *blockmodel.Blockmodel, cfg Config, rn *rng.RNG, po *ph
 				gd.abort(sweep)
 				return st
 			}
-			st.Cost.AddParallel(sp.pass(res.BusyNS))
+			st.Cost.AddParallel(parallel.AsyncPass, res.Work, sp.pass(res.BusyNS))
 			rebuild(bm, moves, sc, &st, sp)
 			if cfg.Verify {
 				// Per pass, not just per sweep: a corrupted mid-sweep

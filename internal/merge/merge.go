@@ -101,7 +101,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	// Parallel proposal stage: the best of cfg.Candidates merges per
 	// non-empty block.
 	best := make([]candidate, bm.C)
-	var proposals atomic.Int64
+	var proposals, units atomic.Int64
 	workTimes := make([]float64, workers)
 	parallel.ForChunked(bm.C, workers, func(lo, hi, w int) {
 		start := time.Now()
@@ -132,6 +132,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 			best[r] = c
 		}
 		proposals.Add(local)
+		units.Add(sc.Work())
 		workTimes[w] = float64(time.Since(start).Nanoseconds())
 	})
 	st.Proposals = proposals.Load()
@@ -139,7 +140,7 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	for _, t := range workTimes {
 		totalWork += t
 	}
-	st.Cost.AddParallel(totalWork)
+	st.Cost.AddParallel(parallel.MergeScan, units.Load(), totalWork)
 
 	// Last cancellation point: past here the blockmodel is mutated, so a
 	// checkpointed caller could no longer resume from the iteration
@@ -190,8 +191,9 @@ func Phase(bm *blockmodel.Blockmodel, numToMerge int, cfg Config, rn *rng.RNG) S
 	for r := range to {
 		to[r] = uf.find(int32(r))
 	}
+	applyUnits := bm.RecountWork()
 	bm.Relabel(to)
-	st.Cost.AddSerial(float64(time.Since(serialStart).Nanoseconds()))
+	st.Cost.AddSerial(parallel.MergeApply, applyUnits, float64(time.Since(serialStart).Nanoseconds()))
 	if cfg.Verify {
 		check.MustInvariants(bm, "merge post-phase invariants")
 	}

@@ -4,13 +4,17 @@ package parallel
 // that strong-scaling behaviour (paper Figs 4b, 6, 7) can be modelled
 // faithfully on hosts with fewer cores than the paper's 128-core node.
 //
-// Code paths record units of serial work (Metropolis-Hastings passes,
-// merge sort/apply, incremental blockmodel rebuilds, bookkeeping) and
-// units of parallel work (asynchronous Gibbs proposals, blockmodel
-// recounts), plus a per-parallel-region overhead modelling barrier +
-// fork/join cost. Work units are nanoseconds of measured execution, so
-// T(1) reproduces the measured serial runtime and T(1)/T(p) gives the
-// modelled speedup.
+// Code paths charge counted work to a Layer: serial work (the live
+// Metropolis-Hastings pass, blockmodel rebuilds, the MDL pass, the merge
+// sort and relabel) and parallel work (asynchronous Gibbs passes, merge
+// candidate scoring), plus a per-parallel-region overhead modelling
+// barrier + fork/join cost. Each layer counts units that depend only on
+// the chain (blockmodel.Scratch.Work lists them) and converts them to
+// nanoseconds with its committed weight (Weights), fit to measured
+// one-worker layer times. So T(1) approximates the measured one-worker
+// runtime, T(1)/T(p) gives the modelled speedup, and both are the same
+// bits in every run of one chain, whatever the worker count or the
+// host's load.
 //
 // Plain Amdahl accounting (parallel work ÷ p) would predict ~100×
 // speedups for asynchronous Gibbs at 128 threads; the paper measures at
@@ -28,13 +32,19 @@ package parallel
 // asynchronous processing reproduces the paper's 1.7–7.6× MCMC speedup
 // band and the ≥16-thread taper.
 type CostModel struct {
-	SerialWork   float64 // ns of inherently serial work
-	ParallelWork float64 // ns of perfectly divisible work
-	Regions      int64   // number of parallel regions (sweeps, rebuilds)
+	SerialWork   float64 // modelled ns of inherently serial work
+	ParallelWork float64 // modelled ns of perfectly divisible work
+	Regions      int64   // number of parallel regions (async passes, merge scans)
 
 	// Saturation is the memory-bandwidth saturation point; 0 selects
 	// DefaultSaturation.
 	Saturation float64
+
+	// Units counts each layer's charged work, and MeasuredNS the wall
+	// time the same work took. Time never reads MeasuredNS; the weight
+	// fit (harness.Config.CostFit) compares the two.
+	Units      [NumLayers]int64
+	MeasuredNS [NumLayers]float64
 }
 
 // DefaultSaturation is the effective-parallelism asymptote used when
@@ -48,14 +58,25 @@ const DefaultSaturation = 24.0
 // an OpenMP barrier on the paper's EPYC node.
 const RegionOverheadNs = 1000.0
 
-// AddSerial records ns nanoseconds of serial work.
-func (c *CostModel) AddSerial(ns float64) { c.SerialWork += ns }
+// AddSerial charges units of layer l's work as serial work, at
+// Weights[l] ns a unit; ns is the time the work took, kept for the fit.
+func (c *CostModel) AddSerial(l Layer, units int64, ns float64) {
+	c.SerialWork += Weights[l] * float64(units)
+	c.count(l, units, ns)
+}
 
-// AddParallel records ns nanoseconds of divisible work spread over one
-// parallel region.
-func (c *CostModel) AddParallel(ns float64) {
-	c.ParallelWork += ns
+// AddParallel charges units of layer l's work as divisible work spread
+// over one parallel region, at Weights[l] ns a unit; ns is the summed
+// busy time of the region's workers, kept for the fit.
+func (c *CostModel) AddParallel(l Layer, units int64, ns float64) {
+	c.ParallelWork += Weights[l] * float64(units)
 	c.Regions++
+	c.count(l, units, ns)
+}
+
+func (c *CostModel) count(l Layer, units int64, ns float64) {
+	c.Units[l] += units
+	c.MeasuredNS[l] += ns
 }
 
 // Merge adds o's accounts into c.
@@ -63,6 +84,9 @@ func (c *CostModel) Merge(o CostModel) {
 	c.SerialWork += o.SerialWork
 	c.ParallelWork += o.ParallelWork
 	c.Regions += o.Regions
+	for l := range c.Units {
+		c.count(Layer(l), o.Units[l], o.MeasuredNS[l])
+	}
 }
 
 // effectiveParallelism returns pEff(p) under the saturation model.
